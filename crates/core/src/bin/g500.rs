@@ -64,6 +64,31 @@ impl Args {
     fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|a| a == name)
     }
+
+    /// `--scale`, in the generator's range 1..=62.
+    fn scale(&self) -> u32 {
+        let scale = self.num("--scale", 12);
+        if !(1..=62).contains(&scale) {
+            invalid(&format!("--scale must be in 1..=62, got {scale}"));
+        }
+        scale as u32
+    }
+
+    /// `--ranks`, at least one.
+    fn ranks(&self) -> usize {
+        let ranks = self.num("--ranks", 4);
+        if ranks == 0 {
+            invalid("--ranks must be at least 1");
+        }
+        ranks as usize
+    }
+}
+
+/// Reject a well-formed flag value the run cannot use: one line on
+/// stderr, exit 1.
+fn invalid(msg: &str) -> ! {
+    eprintln!("g500: {msg}");
+    std::process::exit(1)
 }
 
 fn main() {
@@ -106,8 +131,8 @@ fn crash_plan(args: &Args) -> CrashPlan {
 }
 
 fn build_cfg(args: &Args) -> BenchmarkConfig {
-    let scale = args.num("--scale", 12) as u32;
-    let ranks = args.num("--ranks", 4) as usize;
+    let scale = args.scale();
+    let ranks = args.ranks();
     let mut cfg = BenchmarkConfig::graph500(scale, ranks);
     cfg.num_roots = args.num("--roots", 64) as usize;
     cfg.seed = args.num("--seed", cfg.seed);
@@ -188,10 +213,14 @@ fn build_cfg(args: &Args) -> BenchmarkConfig {
         });
     }
     if let Some(d) = args.value("--delta") {
-        opts = opts.with_delta(d.parse().unwrap_or_else(|_| {
+        let delta: f32 = d.parse().unwrap_or_else(|_| {
             eprintln!("bad --delta: {d}");
             usage()
-        }));
+        });
+        if !(delta > 0.0 && delta.is_finite()) {
+            invalid(&format!("--delta must be positive and finite, got {d}"));
+        }
+        opts = opts.with_delta(delta);
     }
     cfg.opts = opts;
     cfg
@@ -274,8 +303,8 @@ fn cmd_bfs(args: &Args) {
 }
 
 fn cmd_serve(args: &Args) {
-    let scale = args.num("--scale", 12) as u32;
-    let ranks = args.num("--ranks", 4) as usize;
+    let scale = args.scale();
+    let ranks = args.ranks();
     let mut cfg = ServeBenchConfig::new(scale, ranks);
     cfg.num_queries = args.num("--queries", 64) as usize;
     cfg.batch_width = args.num("--batch", 16) as usize;
@@ -313,7 +342,7 @@ fn cmd_serve(args: &Args) {
 }
 
 fn cmd_stats(args: &Args) {
-    let scale = args.num("--scale", 12) as u32;
+    let scale = args.scale();
     let seed = args.num("--seed", 20220814);
     let gen = KroneckerGenerator::new(KroneckerParams::graph500(scale, seed));
     let el = gen.generate_all();

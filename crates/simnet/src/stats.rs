@@ -18,7 +18,11 @@ pub struct NetStats {
     pub coll_bytes: u64,
     /// Number of barrier operations entered.
     pub barriers: u64,
-    /// Number of collective operations entered (excluding bare barriers).
+    /// Number of collective operations entered, global and
+    /// sub-communicator alike. Each counts once (an allreduce is one
+    /// schedule, not a reduce plus a bcast); a barrier counts its inner
+    /// allreduce here and itself under `barriers`, and a reduce-scatter
+    /// counts itself plus its inner alltoallv.
     pub collectives: u64,
     /// Virtual seconds spent in modeled compute.
     pub compute_s: f64,

@@ -5,15 +5,16 @@
 //! [`SubComm`] is created collectively by [`RankCtx::split`]: ranks passing
 //! the same `color` form one group, ordered by `(key, global rank)`.
 //!
-//! Collectives on a subgroup are the same explicit message schedules as the
-//! global ones (binomial reduce/bcast, ring allgather, direct all-to-all),
-//! with sub-ranks translated through the membership table and tags drawn
-//! from a per-communicator namespace so concurrent subgroups never collide.
+//! Collectives on a subgroup run the very same schedules as the global ones
+//! (recursive-doubling allreduce, Bruck allgatherv, direct all-to-all; see
+//! [`crate::collectives`]): the schedule code takes the group's membership
+//! table to translate sub-ranks to global ranks, and a tag base from a
+//! per-communicator namespace so concurrent subgroups never collide.
 
-use crate::rank::{RankCtx, Tag, TrafficClass};
+use crate::collectives::Group;
+use crate::rank::{RankCtx, Tag};
 use crate::trace::TraceCode;
-use crate::transport::TransportError;
-use crate::wire::{decode_vec_checked, encode_slice, Wire};
+use crate::wire::Wire;
 
 /// Tags at or above this value are reserved for sub-communicator traffic
 /// (disjoint from both user tags and global-collective tags).
@@ -81,106 +82,38 @@ impl SubComm {
         self.members[i]
     }
 
-    fn tag(&self, round: u64) -> Tag {
-        debug_assert!(round < 1 << 16, "collective round overflow");
+    /// Run one subgroup collective: the shared schedule over this group's
+    /// member table, in this invocation's tag namespace. Spans carry the
+    /// sequence number and the communicator id; the collective counts once.
+    fn collective<R>(
+        &mut self,
+        ctx: &mut RankCtx,
+        code: TraceCode,
+        schedule: impl FnOnce(&Group<'_>, &mut RankCtx) -> R,
+    ) -> R {
+        ctx.trace_begin(code, self.seq, self.comm_id);
         // seq wraps at 2^16: safe because rank skew within one communicator
         // is bounded by a single collective, so a wrapped tag can never
         // still be in flight.
-        TAG_SUBCOMM_BASE | (self.comm_id << 32) | ((self.seq & 0xFFFF) << 16) | round
-    }
-
-    fn next(&mut self) {
+        let tag_base = TAG_SUBCOMM_BASE | (self.comm_id << 32) | ((self.seq & 0xFFFF) << 16);
+        let out = schedule(&Group::table(&self.members, self.me, tag_base), ctx);
         self.seq += 1;
+        ctx.bump_collective();
+        ctx.trace_end(code, self.seq, self.comm_id);
+        out
     }
 
-    fn send<T: Wire>(&self, ctx: &mut RankCtx, dest: usize, tag: Tag, items: &[T]) {
-        ctx.send_bytes_class(
-            self.members[dest],
-            tag,
-            encode_slice(items),
-            TrafficClass::Collective,
-        );
-    }
-
-    fn recv<T: Wire>(&self, ctx: &mut RankCtx, src: usize, tag: Tag) -> Vec<T> {
-        let buf = ctx.recv_bytes_class(self.members[src], tag);
-        decode_vec_checked(&buf).unwrap_or_else(|e| {
-            panic!(
-                "rank {}: subcomm payload type mismatch: {}",
-                ctx.rank(),
-                TransportError::Decode {
-                    src: self.members[src],
-                    dst: ctx.rank(),
-                    tag,
-                    len: e.len,
-                    elem_size: e.elem_size,
-                }
-            )
-        })
-    }
-
-    fn recv_one<T: Wire>(&self, ctx: &mut RankCtx, src: usize, tag: Tag) -> T {
-        let mut v = self.recv::<T>(ctx, src, tag);
-        assert_eq!(v.len(), 1);
-        v.pop().expect("length checked")
-    }
-
-    /// Allreduce within the subgroup (binomial reduce to sub-root 0, then
-    /// binomial bcast).
-    pub fn allreduce<T: Wire + Clone>(
+    /// Allreduce within the subgroup (recursive doubling, bitwise-identical
+    /// result on every member).
+    pub fn allreduce<T: Wire>(
         &mut self,
         ctx: &mut RankCtx,
         value: T,
         combine: impl Fn(&T, &T) -> T,
     ) -> T {
-        let p = self.size();
-        let me = self.me;
-        ctx.trace_begin(TraceCode::Allreduce, self.seq, self.comm_id);
-        // reduce
-        let mut acc = Some(value);
-        let mut round = 0u64;
-        let mut step = 1usize;
-        while step < p {
-            let tag = self.tag(round);
-            if let Some(v) = acc.clone() {
-                if me & step != 0 {
-                    self.send(ctx, me - step, tag, &[v]);
-                    acc = None;
-                } else if me + step < p {
-                    let other: T = self.recv_one(ctx, me + step, tag);
-                    acc = Some(combine(&v, &other));
-                }
-            }
-            step <<= 1;
-            round += 1;
-        }
-        // bcast
-        let mut top = 1usize;
-        while top < p {
-            top <<= 1;
-        }
-        let mut have = if me == 0 { acc } else { None };
-        let mut step = top;
-        loop {
-            let tag = self.tag(round);
-            if let Some(v) = have.clone() {
-                let dest = me + step;
-                if me.is_multiple_of(step * 2) && dest < p {
-                    self.send(ctx, dest, tag, &[v]);
-                }
-            } else if me % (step * 2) == step {
-                have = Some(self.recv_one(ctx, me - step, tag));
-            }
-            if step == 1 {
-                break;
-            }
-            step >>= 1;
-            round += 1;
-        }
-        self.next();
-        ctx.bump_collective();
-        ctx.trace_end(TraceCode::Allreduce, self.seq, self.comm_id);
-        have.expect("bcast reached every subgroup member")
+        self.collective(ctx, TraceCode::Allreduce, |g, ctx| {
+            g.allreduce(ctx, value, combine)
+        })
     }
 
     /// Subgroup sum of `u64`.
@@ -196,70 +129,21 @@ impl SubComm {
         ctx.trace_end(TraceCode::Barrier, self.seq, self.comm_id);
     }
 
-    /// Ring allgather within the subgroup.
+    /// Allgather within the subgroup (Bruck), blocks indexed by sub-rank.
     pub fn allgatherv<T: Wire + Clone>(&mut self, ctx: &mut RankCtx, mine: &[T]) -> Vec<Vec<T>> {
-        let p = self.size();
-        let me = self.me;
-        ctx.trace_begin(TraceCode::Allgatherv, self.seq, self.comm_id);
-        let mut blocks: Vec<Option<Vec<T>>> = vec![None; p];
-        blocks[me] = Some(mine.to_vec());
-        if p > 1 {
-            let next = (me + 1) % p;
-            let prev = (me + p - 1) % p;
-            for step in 0..p - 1 {
-                let tag = self.tag(step as u64);
-                let send_idx = (me + p - step) % p;
-                let to_send = blocks[send_idx].clone().expect("ring schedule");
-                self.send(ctx, next, tag, &to_send);
-                let recv_idx = (prev + p - step) % p;
-                blocks[recv_idx] = Some(self.recv(ctx, prev, tag));
-            }
-        }
-        self.next();
-        ctx.bump_collective();
-        ctx.trace_end(TraceCode::Allgatherv, self.seq, self.comm_id);
-        blocks
-            .into_iter()
-            .map(|b| b.expect("ring covered group"))
-            .collect()
+        self.collective(ctx, TraceCode::Allgatherv, |g, ctx| g.allgatherv(ctx, mine))
     }
 
     /// Personalised all-to-all within the subgroup.
-    pub fn alltoallv<T: Wire + Clone>(
-        &mut self,
-        ctx: &mut RankCtx,
-        out: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
-        let p = self.size();
-        let me = self.me;
-        assert_eq!(out.len(), p, "one buffer per subgroup member");
-        ctx.trace_begin(TraceCode::Alltoallv, self.seq, self.comm_id);
-        let tag = self.tag(0);
-        let mut own = None;
-        for (d, buf) in out.into_iter().enumerate() {
-            if d == me {
-                own = Some(buf);
-            } else {
-                self.send(ctx, d, tag, &buf);
-            }
-        }
-        let mut result = Vec::with_capacity(p);
-        for s in 0..p {
-            if s == me {
-                result.push(own.take().expect("own block set"));
-            } else {
-                result.push(self.recv(ctx, s, tag));
-            }
-        }
-        self.next();
-        ctx.bump_collective();
-        ctx.trace_end(TraceCode::Alltoallv, self.seq, self.comm_id);
-        result
+    pub fn alltoallv<T: Wire>(&mut self, ctx: &mut RankCtx, out: Vec<Vec<T>>) -> Vec<Vec<T>> {
+        self.collective(ctx, TraceCode::Alltoallv, |g, ctx| g.alltoallv(ctx, out))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::collectives::tests::{doubling, f64_input, ragged_block, xor_rot};
+    use crate::fault::FaultPlan;
     use crate::machine::{Machine, MachineConfig};
 
     #[test]
@@ -341,5 +225,44 @@ mod tests {
             g.allreduce_sum(ctx, 42)
         });
         assert_eq!(rep.results, vec![42, 42, 42]);
+    }
+
+    /// Sub-communicators of sizes 1..=6 carved out of a 21-rank job, in
+    /// reverse key order so sub-ranks differ from global ranks: the
+    /// allreduce is bitwise identical on every member and evaluates the
+    /// same tree as the global schedule; the allgatherv returns ragged,
+    /// empty and large blocks in sub-rank order; fuzzed delivery over
+    /// lossy links changes nothing.
+    #[test]
+    fn subgroup_schedules_match_the_global_ones() {
+        let job = |ctx: &mut crate::RankCtx| {
+            let r = ctx.rank();
+            // group c holds ranks c(c+1)/2 .. (c+1)(c+2)/2: c + 1 members
+            let color = (0..6).rfind(|c| c * (c + 1) / 2 <= r).expect("r < 21");
+            let mut g = ctx.split(color as u64, u64::MAX - r as u64);
+            let me = g.rank();
+            let sum = g.allreduce(ctx, f64_input(me), |a, b| a + b).to_bits();
+            let x = g.allreduce(ctx, me as u64 + 1, xor_rot);
+            let blocks = g.allgatherv(ctx, &ragged_block(me));
+            g.barrier(ctx);
+            (g.size(), sum, x, blocks)
+        };
+        let clean = Machine::new(MachineConfig::with_ranks(21)).run(job);
+        for (size, sum, x, blocks) in &clean.results {
+            let f: Vec<f64> = (0..*size).map(f64_input).collect();
+            let v: Vec<u64> = (1..=*size as u64).collect();
+            assert_eq!(*sum, doubling(&f, |a, b| a + b).to_bits());
+            assert_eq!(*x, doubling(&v, xor_rot));
+            let expect: Vec<_> = (0..*size).map(ragged_block).collect();
+            assert_eq!(blocks, &expect);
+        }
+        let lossy = FaultPlan::none()
+            .with_seed(3)
+            .with_drop(0.1)
+            .with_duplicate(0.05)
+            .with_corrupt(0.05);
+        let fuzzed =
+            Machine::new(MachineConfig::with_ranks(21).deterministic(5).faults(lossy)).run(job);
+        assert_eq!(fuzzed.results, clean.results);
     }
 }

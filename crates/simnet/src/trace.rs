@@ -89,8 +89,8 @@ pub enum TraceCode {
     Exchange = 4,
     /// One parallel task wave on the pool (span; `a` = item count).
     TaskWave = 5,
-    /// Reduction to root (collective span).
-    ReduceToRoot = 6,
+    // 6 was the reduction to root, retired when allreduce became one
+    // recursive-doubling schedule; codes are never renumbered.
     /// Broadcast from root (collective span).
     Bcast = 7,
     /// Allreduce (collective span).
@@ -169,7 +169,6 @@ const ALL_CODES: &[TraceCode] = &[
     TraceCode::Superstep,
     TraceCode::Exchange,
     TraceCode::TaskWave,
-    TraceCode::ReduceToRoot,
     TraceCode::Bcast,
     TraceCode::Allreduce,
     TraceCode::Barrier,
@@ -208,7 +207,6 @@ impl TraceCode {
             TraceCode::Superstep => "superstep",
             TraceCode::Exchange => "exchange",
             TraceCode::TaskWave => "task-wave",
-            TraceCode::ReduceToRoot => "reduce-to-root",
             TraceCode::Bcast => "bcast",
             TraceCode::Allreduce => "allreduce",
             TraceCode::Barrier => "barrier",
@@ -252,8 +250,7 @@ impl TraceCode {
     pub fn is_collective(self) -> bool {
         matches!(
             self,
-            TraceCode::ReduceToRoot
-                | TraceCode::Bcast
+            TraceCode::Bcast
                 | TraceCode::Allreduce
                 | TraceCode::Barrier
                 | TraceCode::Allgatherv

@@ -40,9 +40,6 @@ pub struct OptConfig {
     /// Hybrid heuristic: pull when frontier arcs exceed `1/pull_ratio` of
     /// the remaining unsettled arcs.
     pub pull_ratio: f64,
-    /// Record per-bucket phase timings (for the breakdown figure; costs a
-    /// little memory, no simulated time).
-    pub record_phases: bool,
 }
 
 impl Default for OptConfig {
@@ -63,7 +60,6 @@ impl OptConfig {
             direction: Direction::Hybrid,
             tail_threshold: 64,
             pull_ratio: 16.0,
-            record_phases: false,
         }
     }
 
@@ -79,7 +75,6 @@ impl OptConfig {
             direction: Direction::Push,
             tail_threshold: 64,
             pull_ratio: 16.0,
-            record_phases: false,
         }
     }
 
@@ -118,12 +113,6 @@ impl OptConfig {
     /// Fix Δ explicitly.
     pub fn with_delta(mut self, delta: Weight) -> Self {
         self.delta = Some(delta);
-        self
-    }
-
-    /// Enable per-bucket phase recording.
-    pub fn with_phases(mut self) -> Self {
-        self.record_phases = true;
         self
     }
 }

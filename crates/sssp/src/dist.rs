@@ -4,8 +4,13 @@
 //! Bulk-synchronous structure, one bucket at a time:
 //!
 //! ```text
-//! while some rank has a non-empty bucket:
-//!     k ← allreduce-min of local minimum bucket indices
+//! loop:
+//!     (k, residue, relaxed) ← one allreduce of local minimum bucket
+//!                             index, queue size and relaxation count
+//!     if k = ∞: done
+//!     if fusion is on, the residue is tiny and most work is done: finish
+//!         in one fused Bellman-Ford tail instead of dribbling through
+//!         buckets, and stop
 //!     repeat                                   (light-edge inner loop)
 //!         frontier ← live entries of local bucket k
 //!         agree on direction (push / pull) from global frontier density
@@ -13,8 +18,6 @@
 //!         pull: broadcast frontier, scan local unsettled adjacency
 //!     until bucket k is globally empty
 //!     relax heavy edges of everything bucket k settled, exchange once
-//!     if the global residue is tiny and fusion is on: finish it in one
-//!     fused Bellman-Ford tail instead of dribbling through buckets
 //! ```
 //!
 //! Every optimization is toggleable via [`OptConfig`]; with everything off
@@ -43,19 +46,6 @@ type PullScan = (u64, Option<(f32, u64, Vec<f32>)>);
 /// owner_rank)` in (source, arc) order.
 type HeavyScan = (u64, Vec<(u64, f32, u64, usize)>);
 
-/// Per-bucket phase timing record (for the breakdown figure F4).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PhaseRecord {
-    /// Bucket index.
-    pub bucket: u64,
-    /// Global frontier size summed over the bucket's inner iterations.
-    pub frontier: u64,
-    /// Virtual compute seconds this rank spent in the bucket.
-    pub compute_s: f64,
-    /// Virtual communication seconds this rank spent in the bucket.
-    pub comm_s: f64,
-}
-
 /// Counters one run of the distributed kernel produces (per rank; counts
 /// like `supersteps` are identical on every rank by construction).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -83,32 +73,15 @@ pub struct SsspRunStats {
     pub compute_s: f64,
     /// Virtual communication seconds inside the kernel.
     pub comm_s: f64,
-    /// Per-bucket phases (only when `OptConfig::record_phases`).
-    pub phases: Vec<PhaseRecord>,
-}
-
-impl PhaseRecord {
-    /// Render as a JSON object (hand-rolled: the workspace has no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bucket\":{},\"frontier\":{},\"compute_s\":{},\"comm_s\":{}}}",
-            self.bucket,
-            self.frontier,
-            json_f64(self.compute_s),
-            json_f64(self.comm_s)
-        )
-    }
 }
 
 impl SsspRunStats {
     /// Render as a JSON object (hand-rolled: the workspace has no serde).
     pub fn to_json(&self) -> String {
-        let phases: Vec<String> = self.phases.iter().map(|p| p.to_json()).collect();
         format!(
             "{{\"supersteps\":{},\"buckets\":{},\"relaxations\":{},\"updates_sent\":{},\
              \"updates_offered\":{},\"push_iterations\":{},\"pull_iterations\":{},\
-             \"tail_fused\":{},\"sim_time_s\":{},\"compute_s\":{},\"comm_s\":{},\
-             \"phases\":[{}]}}",
+             \"tail_fused\":{},\"sim_time_s\":{},\"compute_s\":{},\"comm_s\":{}}}",
             self.supersteps,
             self.buckets,
             self.relaxations,
@@ -119,8 +92,7 @@ impl SsspRunStats {
             self.tail_fused,
             json_f64(self.sim_time_s),
             json_f64(self.compute_s),
-            json_f64(self.comm_s),
-            phases.join(",")
+            json_f64(self.comm_s)
         )
     }
 }
@@ -187,13 +159,6 @@ impl SsspRunStats {
         codec::put_f64(out, self.sim_time_s);
         codec::put_f64(out, self.compute_s);
         codec::put_f64(out, self.comm_s);
-        codec::put_u64(out, self.phases.len() as u64);
-        for p in &self.phases {
-            codec::put_u64(out, p.bucket);
-            codec::put_u64(out, p.frontier);
-            codec::put_f64(out, p.compute_s);
-            codec::put_f64(out, p.comm_s);
-        }
     }
 
     /// Restore from a checkpoint written by
@@ -210,15 +175,6 @@ impl SsspRunStats {
         self.sim_time_s = codec::get_f64(buf, pos);
         self.compute_s = codec::get_f64(buf, pos);
         self.comm_s = codec::get_f64(buf, pos);
-        let n = codec::get_u64(buf, pos) as usize;
-        self.phases = (0..n)
-            .map(|_| PhaseRecord {
-                bucket: codec::get_u64(buf, pos),
-                frontier: codec::get_u64(buf, pos),
-                compute_s: codec::get_f64(buf, pos),
-                comm_s: codec::get_f64(buf, pos),
-            })
-            .collect();
     }
 }
 
@@ -410,11 +366,35 @@ impl<P: VertexPartition> Kernel<'_, P> {
                     continue 'outer;
                 }
             }
+            // One vote per bucket: the next bucket index, and the live
+            // residue and relaxation total that gate the fused tail.
             let k_local = self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64);
-            let k = ctx.allreduce_min(k_local);
+            let (k, active, relaxed) = ctx.allreduce(
+                (k_local, self.buckets.len() as u64, self.stats.relaxations),
+                |a, b| (a.0.min(b.0), a.1 + b.1, a.2 + b.2),
+            );
             if k == u64::MAX {
                 break;
             }
+
+            // ---- fused tail ----
+            // Two conditions gate the fusion: the live residue is tiny AND
+            // most of the relaxation work is already behind us. The second
+            // guard matters: right after bucket 0 the queue is also tiny
+            // (the search has barely started), and fusing there would run
+            // an unbucketed Bellman-Ford over the entire graph. Before the
+            // first bucket nothing is relaxed yet, so the vote never fuses.
+            let bulk_done = relaxed * 2 > self.graph.global_arcs();
+            if self.opts.bucket_fusion
+                && active < self.opts.tail_threshold * ctx.size() as u64
+                && bulk_done
+            {
+                // The tail drains every bucket, so the search is over.
+                self.fused_tail(ctx);
+                self.stats.tail_fused = true;
+                break;
+            }
+
             self.stats.buckets += 1;
             ctx.trace_begin(TraceCode::Bucket, k, 0);
             let phase_start = (ctx.stats().compute_s, ctx.stats().comm_s);
@@ -479,14 +459,6 @@ impl<P: VertexPartition> Kernel<'_, P> {
             self.stats.supersteps += 1;
             self.ss_close(ctx, snap, 1);
 
-            if self.opts.record_phases {
-                self.stats.phases.push(PhaseRecord {
-                    bucket: k,
-                    frontier: phase_frontier,
-                    compute_s: ctx.stats().compute_s - phase_start.0,
-                    comm_s: ctx.stats().comm_s - phase_start.1,
-                });
-            }
             if ctx.trace_enabled() {
                 let dc = ctx.stats().compute_s - phase_start.0;
                 let dm = ctx.stats().comm_s - phase_start.1;
@@ -494,29 +466,10 @@ impl<P: VertexPartition> Kernel<'_, P> {
                 ctx.trace_count_f64(TraceCode::BucketCompute, dc, k);
                 ctx.trace_count_f64(TraceCode::BucketComm, dm, k);
             }
-            // The fused tail below is deliberately outside the bucket span:
-            // its rounds carry flavor 2 and the per-bucket counters above
-            // keep the same semantics as `PhaseRecord` (tail excluded).
+            // The fused tail is deliberately outside every bucket span: its
+            // rounds carry flavor 2 and the per-bucket counters above
+            // exclude it.
             ctx.trace_end(TraceCode::Bucket, k, 0);
-
-            // ---- fused tail ----
-            // Two conditions gate the fusion: the live residue is tiny AND
-            // most of the relaxation work is already behind us. The second
-            // guard matters: right after bucket 0 the queue is also tiny
-            // (the search has barely started), and fusing there would run
-            // an unbucketed Bellman-Ford over the entire graph.
-            if self.opts.bucket_fusion {
-                let (active, relaxed) = ctx.allreduce(
-                    (self.buckets.len() as u64, self.stats.relaxations),
-                    |a, b| (a.0 + b.0, a.1 + b.1),
-                );
-                let bulk_done = relaxed * 2 > self.graph.global_arcs();
-                if active > 0 && active < self.opts.tail_threshold * ctx.size() as u64 && bulk_done
-                {
-                    self.fused_tail(ctx);
-                    self.stats.tail_fused = true;
-                }
-            }
         }
         if let Some(r) = rec {
             r.finish(ctx);
@@ -862,7 +815,7 @@ impl<P: VertexPartition> Kernel<'_, P> {
         }
         self.xbufs = xbufs;
         // Buckets were drained; `drain_all` plus direct dist writes keep the
-        // queue empty, so the outer loop terminates at the next allreduce.
+        // queue empty, so the caller ends the search without another vote.
     }
 }
 
@@ -1001,15 +954,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_records_when_requested() {
-        let el = g500_gen::simple::erdos_renyi(32, 128, 3);
-        let (_, stats) = run_dist(&el, 32, 2, 0, OptConfig::all_on().with_phases());
-        assert!(!stats.phases.is_empty());
-        let total: u64 = stats.phases.iter().map(|p| p.frontier).sum();
-        assert!(total > 0);
-    }
-
-    #[test]
     fn root_on_last_rank() {
         let el = g500_gen::simple::cycle(15, 0.2);
         let oracle = exact(&el, 15, 14);
@@ -1058,10 +1002,6 @@ mod tests {
                 s.sim_time_s = 0.0;
                 s.compute_s = 0.0;
                 s.comm_s = 0.0;
-                s.phases.iter_mut().for_each(|p| {
-                    p.compute_s = 0.0;
-                    p.comm_s = 0.0;
-                });
                 s
             };
             assert_eq!(strip(cst), strip(fst));

@@ -246,3 +246,26 @@ fn many_ranks_few_vertices() {
     let rep = run_sssp_benchmark(&BenchmarkConfig::quick(6, 16));
     assert!(rep.all_validated());
 }
+
+#[test]
+fn unusable_cli_values_are_one_line_errors_not_panics() {
+    let cases: [&[&str]; 6] = [
+        &["sssp", "--scale", "8", "--ranks", "2", "--delta", "0"],
+        &["sssp", "--scale", "8", "--ranks", "2", "--delta", "-0.5"],
+        &["sssp", "--scale", "8", "--ranks", "0"],
+        &["sssp", "--scale", "0", "--ranks", "2"],
+        &["serve", "--scale", "8", "--ranks", "0"],
+        &["stats", "--scale", "0"],
+    ];
+    for args in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_g500"))
+            .args(args)
+            .output()
+            .expect("spawn g500");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "g500 {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "g500 {args:?}: {stderr}");
+        let last = stderr.lines().last().unwrap_or_default();
+        assert!(last.starts_with("g500: --"), "g500 {args:?}: {stderr}");
+    }
+}
