@@ -4,23 +4,23 @@
 //!
 //! Structure of the implementation, mirroring the paper:
 //!
-//! 1. **Constant-degree transform** ([`transform`]): each vertex becomes a
+//! 1. **Constant-degree transform** (`transform`): each vertex becomes a
 //!    zero-weight directed cycle with one slot per incident arc, so every
 //!    slot has in/out degree O(1). Applied adaptively — graphs whose max
 //!    degree is already ≤ [`DEGREE_CAP`] run untransformed.
-//! 2. **Recursion** `BMSSP(l, B, S)` ([`Solver::run`]): solves shortest
+//! 2. **Recursion** `BMSSP(l, B, S)` (`Solver::run`): solves shortest
 //!    paths from the source set `S` restricted to distances `< B`, either
 //!    completely (returns `B' = B`) or up to a budget of `k·2^{lt}`
 //!    settled vertices (returns a smaller frontier bound `B'`); the
 //!    returned set `U` is complete below `B'`.
-//! 3. **FindPivots** ([`Solver::find_pivots`]): `k` rounds of bounded
+//! 3. **FindPivots** (`Solver::find_pivots`): `k` rounds of bounded
 //!    Bellman-Ford from `S`, then a BFS forest over tight edges; only
 //!    roots of trees with ≥ `k` vertices survive as pivots, shrinking the
 //!    recursive source sets.
 //! 4. **Partial-order pull structure** ([`crate::pull::PullStructure`]):
 //!    feeds each recursive call a batch of smallest-key sources plus a
 //!    strict separating bound.
-//! 5. **Base case** (`l = 0`, [`Solver::base_case`]): truncated Dijkstra
+//! 5. **Base case** (`l = 0`, `Solver::base_case`): truncated Dijkstra
 //!    on the monotone [`RadixHeap`], settling at most `k + |S|` vertices.
 //!
 //! Documented deviations from the paper's pseudocode (all correctness-
@@ -428,7 +428,7 @@ impl Solver {
 }
 
 /// Exact single-source shortest paths via the BMSSP recursion; same
-/// `(dist, parent)` contract as [`crate::dijkstra`], distances bitwise
+/// `(dist, parent)` contract as [`crate::dijkstra()`], distances bitwise
 /// equal to it.
 pub fn bmssp(graph: &Csr, root: VertexId) -> ShortestPaths {
     let n = graph.num_vertices();

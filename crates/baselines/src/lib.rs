@@ -4,10 +4,10 @@
 //! evaluation (and any honest reproduction) needs the algorithms it is
 //! measured against:
 //!
-//! * [`dijkstra`] — the exact sequential oracle (binary heap with lazy
+//! * [`dijkstra`](mod@dijkstra) — the exact sequential oracle (binary heap with lazy
 //!   deletion). Every other implementation in the workspace is
 //!   property-tested against it.
-//! * [`bellman_ford`] — round-based relaxation, sequential and
+//! * [`bellman_ford`](mod@bellman_ford) — round-based relaxation, sequential and
 //!   shared-memory parallel; the asymptotically wasteful extreme.
 //! * [`nearfar`] — the near-far worklist method, a delta-stepping relative
 //!   with exactly two buckets; locates delta-stepping in its design space.
@@ -15,8 +15,8 @@
 //!   one-frontier-superstep-per-round baseline the optimized kernel is
 //!   compared to in experiment F9.
 //! * [`radix_heap`] — monotone radix-heap Dijkstra over `u64` distance
-//!   keys; same answers as [`dijkstra`], bucket-based extraction.
-//! * [`bmssp`] — the bounded multi-source shortest path recursion of Duan
+//!   keys; same answers as [`dijkstra()`], bucket-based extraction.
+//! * [`bmssp`](mod@bmssp) — the bounded multi-source shortest path recursion of Duan
 //!   et al. (arXiv:2504.17033): pivot reduction + partial-order pull
 //!   structure + truncated-Dijkstra base case, `O(m log^{2/3} n)`.
 //!

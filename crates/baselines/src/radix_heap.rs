@@ -157,7 +157,7 @@ impl<T> Default for RadixHeap<T> {
 
 /// Exact single-source shortest paths on a monotone radix heap with lazy
 /// deletion — same algorithm and same lazy-insertion discipline as
-/// [`crate::dijkstra`], different priority queue. Distances are bitwise
+/// [`crate::dijkstra()`], different priority queue. Distances are bitwise
 /// identical to the binary-heap oracle: both settle every vertex at the
 /// minimum over the same relaxation candidates, and value-equal
 /// non-negative floats are bit-equal.

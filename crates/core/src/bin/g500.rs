@@ -82,6 +82,15 @@ impl Args {
         }
         ranks as usize
     }
+
+    /// `--roots`, at least one.
+    fn roots(&self) -> usize {
+        let roots = self.num("--roots", 64);
+        if roots == 0 {
+            invalid("--roots must be at least 1");
+        }
+        roots as usize
+    }
 }
 
 /// Reject a well-formed flag value the run cannot use: one line on
@@ -134,7 +143,7 @@ fn build_cfg(args: &Args) -> BenchmarkConfig {
     let scale = args.scale();
     let ranks = args.ranks();
     let mut cfg = BenchmarkConfig::graph500(scale, ranks);
-    cfg.num_roots = args.num("--roots", 64) as usize;
+    cfg.num_roots = args.roots();
     cfg.seed = args.num("--seed", cfg.seed);
     cfg.validate = !args.has("--no-validate");
     cfg.threads = args.num("--threads", 0) as usize;

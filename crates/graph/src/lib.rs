@@ -2,7 +2,7 @@
 //!
 //! This crate is the foundation of the workspace: it defines the vertex/edge
 //! primitive types, weighted edge lists, compressed sparse row (CSR)
-//! adjacency, bitmaps, adjacency compression codecs, vertex permutations and
+//! adjacency, bitmaps, varint codecs, vertex permutations and
 //! degree statistics. Every other crate (generator, partitioner, SSSP
 //! kernels, validator) builds on these types.
 //!
@@ -29,7 +29,6 @@ pub mod types;
 
 pub use bitmap::Bitmap;
 pub use cc::{component_stats, ComponentStats, UnionFind};
-pub use compress::{decode_adjacency, encode_adjacency, CompressedCsr};
 pub use csr::{Csr, Directedness};
 pub use degree::DegreeStats;
 pub use edgelist::EdgeList;

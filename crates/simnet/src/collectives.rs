@@ -7,7 +7,7 @@
 //! because that is what the recursive-doubling allreduce below actually
 //! does.
 //!
-//! Each schedule is written once, against a [`Group`]: a member table
+//! Each schedule is written once, against a `Group`: a member table
 //! (group index → global rank) plus the tag namespace of one invocation.
 //! The global collectives run it over the identity table; a
 //! [`SubComm`](crate::SubComm) runs the same code over its own table.

@@ -13,7 +13,7 @@
 //!   locally, and ships a replica to its *buddy* rank `(r + 1) % p` — the
 //!   in-memory equivalent of buddy-node checkpointing.
 //! * **Detection** is deterministic: at every probe point each rank draws
-//!   its seeded [`CrashLottery`](crate::fault::CrashLottery), then all
+//!   its seeded [`CrashLottery`], then all
 //!   ranks run an *agreement round* (an OR-allreduce of the crash bitmask)
 //!   so every survivor adopts the identical verdict. Survivors charge the
 //!   plan's `detect_timeout_s` of virtual wait — the timeout-at-the-next-

@@ -25,7 +25,7 @@
 //! receiver-side algorithms, just executed on the sender's thread. Because
 //! the fault lottery and all protocol state are owned by the sending rank,
 //! the entire fault/retry schedule is a pure function of
-//! [`FaultPlan`](crate::fault::FaultPlan) — independent of thread timing
+//! [`FaultPlan`] — independent of thread timing
 //! and scheduler seed — which is what extends the determinism contract to
 //! lossy networks.
 //!

@@ -8,6 +8,7 @@
 //! free from the dedup ("on-chip sort") stage. Experiment F6 measures the
 //! achieved ratio.
 
+use crate::exchange::ExchangeRecord;
 use g500_graph::compress::{read_varint, write_varint};
 
 /// One relaxation request: (global target, tentative distance, global parent).
@@ -80,6 +81,25 @@ pub fn dedup_min(updates: &mut Vec<Update>) -> usize {
     let before = updates.len();
     updates.dedup_by_key(|u| u.0); // keeps the first = min distance
     before - updates.len()
+}
+
+/// Untagged updates dedup on (target, dist): the survivor per target is the
+/// minimum distance.
+impl ExchangeRecord for Update {
+    const SINGLE_TAG: u64 = 0x5550;
+    const FLAVOR: u64 = 0;
+
+    fn dedup(bucket: &mut Vec<Self>) {
+        dedup_min(bucket);
+    }
+
+    fn encode(records: &[Self], sorted: bool) -> Vec<u8> {
+        encode_updates(records, sorted)
+    }
+
+    fn decode(buf: &[u8]) -> Option<Vec<Self>> {
+        decode_updates(buf)
+    }
 }
 
 /// One lane-tagged relaxation request of the batched kernel:
@@ -192,6 +212,25 @@ pub fn decode_tagged(buf: &[u8]) -> Option<Vec<TaggedUpdate>> {
         Some(out)
     } else {
         None
+    }
+}
+
+/// Tagged updates dedup on the full canonical key, so a lane's shipped
+/// bytes do not depend on which other lanes share the batch.
+impl ExchangeRecord for TaggedUpdate {
+    const SINGLE_TAG: u64 = 0x5551;
+    const FLAVOR: u64 = 1;
+
+    fn dedup(bucket: &mut Vec<Self>) {
+        dedup_min_tagged(bucket);
+    }
+
+    fn encode(records: &[Self], sorted: bool) -> Vec<u8> {
+        encode_tagged(records, sorted)
+    }
+
+    fn decode(buf: &[u8]) -> Option<Vec<Self>> {
+        decode_tagged(buf)
     }
 }
 

@@ -34,12 +34,6 @@ pub struct OptConfig {
     pub bucket_fusion: bool,
     /// Push/pull/hybrid relaxation.
     pub direction: Direction,
-    /// When `bucket_fusion` is on: fuse the tail once the global active
-    /// vertex count drops below `tail_threshold × ranks`.
-    pub tail_threshold: u64,
-    /// Hybrid heuristic: pull when frontier arcs exceed `1/pull_ratio` of
-    /// the remaining unsettled arcs.
-    pub pull_ratio: f64,
 }
 
 impl Default for OptConfig {
@@ -58,8 +52,6 @@ impl OptConfig {
             compression: true,
             bucket_fusion: true,
             direction: Direction::Hybrid,
-            tail_threshold: 64,
-            pull_ratio: 16.0,
         }
     }
 
@@ -73,8 +65,6 @@ impl OptConfig {
             compression: false,
             bucket_fusion: false,
             direction: Direction::Push,
-            tail_threshold: 64,
-            pull_ratio: 16.0,
         }
     }
 

@@ -25,13 +25,15 @@
 //! the ablation experiments measure against.
 
 use crate::bucket::BucketQueue;
+use crate::codec::Update;
 use crate::config::{Direction, OptConfig};
 use crate::delta::suggest_delta;
+use crate::epoch::{self, load_paths, save_paths, EpochKernel};
 use crate::exchange::{exchange_into, ExchangeBufs};
 use g500_graph::{VertexId, Weight};
 use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
 use rayon::prelude::*;
-use simnet::recovery::{codec, Checkpoint, FaultEscalation, Recovery};
+use simnet::recovery::{codec, Checkpoint, FaultEscalation};
 use simnet::{RankCtx, TraceCode};
 use std::collections::HashMap;
 
@@ -106,77 +108,13 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-/// Append a length-prefixed `Weight` slice as raw bit patterns (exact:
-/// infinities and the bitwise identity of every distance survive).
-pub(crate) fn put_weight_slice(out: &mut Vec<u8>, xs: &[Weight]) {
-    codec::put_u64(out, xs.len() as u64);
-    for &x in xs {
-        out.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-}
+/// Fuse the tail once the global live queue drops below this many entries
+/// per rank (and most of the relaxation work is done).
+const TAIL_THRESHOLD: u64 = 64;
 
-/// Read a length-prefixed `Weight` vector written by [`put_weight_slice`].
-pub(crate) fn get_weight_vec(buf: &[u8], pos: &mut usize) -> Vec<Weight> {
-    let n = codec::get_u64(buf, pos) as usize;
-    (0..n)
-        .map(|_| {
-            let x = u32::from_le_bytes(
-                buf[*pos..*pos + 4]
-                    .try_into()
-                    .expect("checkpoint truncated"),
-            );
-            *pos += 4;
-            Weight::from_bits(x)
-        })
-        .collect()
-}
-
-/// Append a distance/parent pair to a checkpoint.
-pub(crate) fn save_paths(sp: &DistShortestPaths, out: &mut Vec<u8>) {
-    put_weight_slice(out, &sp.dist);
-    codec::put_u64_slice(out, &sp.parent);
-}
-
-/// Restore a distance/parent pair from a checkpoint.
-pub(crate) fn load_paths(sp: &mut DistShortestPaths, buf: &[u8], pos: &mut usize) {
-    sp.dist = get_weight_vec(buf, pos);
-    sp.parent = codec::get_u64_vec(buf, pos);
-}
-
-impl SsspRunStats {
-    /// Append to a checkpoint. Time fields are included so rollback is
-    /// exact, even though crash runs legitimately report different virtual
-    /// times than fault-free runs.
-    pub(crate) fn save_ckpt(&self, out: &mut Vec<u8>) {
-        codec::put_u64(out, self.supersteps);
-        codec::put_u64(out, self.buckets);
-        codec::put_u64(out, self.relaxations);
-        codec::put_u64(out, self.updates_sent);
-        codec::put_u64(out, self.updates_offered);
-        codec::put_u64(out, self.push_iterations);
-        codec::put_u64(out, self.pull_iterations);
-        codec::put_u64(out, self.tail_fused as u64);
-        codec::put_f64(out, self.sim_time_s);
-        codec::put_f64(out, self.compute_s);
-        codec::put_f64(out, self.comm_s);
-    }
-
-    /// Restore from a checkpoint written by
-    /// [`save_ckpt`](SsspRunStats::save_ckpt).
-    pub(crate) fn load_ckpt(&mut self, buf: &[u8], pos: &mut usize) {
-        self.supersteps = codec::get_u64(buf, pos);
-        self.buckets = codec::get_u64(buf, pos);
-        self.relaxations = codec::get_u64(buf, pos);
-        self.updates_sent = codec::get_u64(buf, pos);
-        self.updates_offered = codec::get_u64(buf, pos);
-        self.push_iterations = codec::get_u64(buf, pos);
-        self.pull_iterations = codec::get_u64(buf, pos);
-        self.tail_fused = codec::get_u64(buf, pos) != 0;
-        self.sim_time_s = codec::get_f64(buf, pos);
-        self.compute_s = codec::get_f64(buf, pos);
-        self.comm_s = codec::get_f64(buf, pos);
-    }
-}
+/// Hybrid direction: pull when the frontier's arcs exceed `1/PULL_RATIO` of
+/// the arcs still unsettled.
+const PULL_RATIO: f64 = 16.0;
 
 /// Working state threaded through the phases.
 struct Kernel<'a, P: VertexPartition> {
@@ -199,47 +137,82 @@ struct Kernel<'a, P: VertexPartition> {
     unsettled_arcs: u64,
     unsettled_mark: Vec<bool>,
     stats: SsspRunStats,
+    /// The current light round's frontier and its agreed global
+    /// `(frontier arcs, unsettled arcs)`, which pick the direction.
+    frontier: Vec<u32>,
+    density: (u64, u64),
+    /// Everything the current bucket settled, for its heavy round.
+    settled: Vec<u32>,
     /// Superstep scratch arenas, reused across the whole run: the exchange
     /// buckets/incoming buffer and the two parallel-scan result buffers.
     /// Every superstep used to reallocate all of these from nothing.
-    xbufs: ExchangeBufs,
+    xbufs: ExchangeBufs<Update>,
     pull_scratch: Vec<PullScan>,
     heavy_scratch: Vec<HeavyScan>,
 }
 
-/// Borrow of the kernel's mutable state for checkpoint/restore. Everything
-/// live across a superstep boundary is here; the scratch arenas (`xbufs`,
-/// `pull_scratch`, `heavy_scratch`) are excluded on purpose — they are
-/// fully overwritten before being read in every superstep.
-struct KernelState<'a, 'g, P: VertexPartition>(&'a mut Kernel<'g, P>);
-
-impl<P: VertexPartition> Checkpoint for KernelState<'_, '_, P> {
+/// Everything live across a superstep boundary is checkpointed; the round
+/// and scratch buffers (`frontier`, `settled`, `xbufs`, `pull_scratch`,
+/// `heavy_scratch`) are excluded on purpose — each is overwritten before
+/// it is read. Time fields of the stats are included so rollback is exact,
+/// even though crash runs legitimately report different virtual times
+/// than fault-free runs.
+impl<P: VertexPartition> Checkpoint for Kernel<'_, P> {
     fn save(&self, out: &mut Vec<u8>) {
-        let k = &*self.0;
-        save_paths(&k.sp, out);
-        k.buckets.save(out);
-        codec::put_u64_slice(out, &k.frontier_seen);
-        codec::put_u64(out, k.frontier_epoch);
-        codec::put_u64_slice(out, &k.settled_seen);
-        codec::put_u64(out, k.settled_epoch);
-        codec::put_u64(out, k.unsettled_arcs);
-        codec::put_bool_slice(out, &k.unsettled_mark);
-        k.stats.save_ckpt(out);
+        save_paths(&self.sp.dist, &self.sp.parent, out);
+        self.buckets.save(out);
+        codec::put_u64_slice(out, &self.frontier_seen);
+        codec::put_u64(out, self.frontier_epoch);
+        codec::put_u64_slice(out, &self.settled_seen);
+        codec::put_u64(out, self.settled_epoch);
+        codec::put_u64(out, self.unsettled_arcs);
+        codec::put_bool_slice(out, &self.unsettled_mark);
+        let st = &self.stats;
+        for x in [
+            st.supersteps,
+            st.buckets,
+            st.relaxations,
+            st.updates_sent,
+            st.updates_offered,
+            st.push_iterations,
+            st.pull_iterations,
+            st.tail_fused as u64,
+        ] {
+            codec::put_u64(out, x);
+        }
+        for x in [st.sim_time_s, st.compute_s, st.comm_s] {
+            codec::put_f64(out, x);
+        }
     }
 
     fn load(&mut self, buf: &[u8]) {
-        let k = &mut *self.0;
         let mut pos = 0;
-        load_paths(&mut k.sp, buf, &mut pos);
-        k.buckets.load(buf, &mut pos);
-        k.frontier_seen = codec::get_u64_vec(buf, &mut pos);
-        k.frontier_epoch = codec::get_u64(buf, &mut pos);
-        k.settled_seen = codec::get_u64_vec(buf, &mut pos);
-        k.settled_epoch = codec::get_u64(buf, &mut pos);
-        k.unsettled_arcs = codec::get_u64(buf, &mut pos);
-        k.unsettled_mark = codec::get_bool_vec(buf, &mut pos);
-        k.stats.load_ckpt(buf, &mut pos);
-        assert_eq!(pos, buf.len(), "trailing bytes in kernel checkpoint");
+        let pos = &mut pos;
+        load_paths(&mut self.sp.dist, &mut self.sp.parent, buf, pos);
+        self.buckets.load(buf, pos);
+        self.frontier_seen = codec::get_u64_vec(buf, pos);
+        self.frontier_epoch = codec::get_u64(buf, pos);
+        self.settled_seen = codec::get_u64_vec(buf, pos);
+        self.settled_epoch = codec::get_u64(buf, pos);
+        self.unsettled_arcs = codec::get_u64(buf, pos);
+        self.unsettled_mark = codec::get_bool_vec(buf, pos);
+        let st = &mut self.stats;
+        for x in [
+            &mut st.supersteps,
+            &mut st.buckets,
+            &mut st.relaxations,
+            &mut st.updates_sent,
+            &mut st.updates_offered,
+            &mut st.push_iterations,
+            &mut st.pull_iterations,
+        ] {
+            *x = codec::get_u64(buf, pos);
+        }
+        st.tail_fused = codec::get_u64(buf, pos) != 0;
+        for x in [&mut st.sim_time_s, &mut st.compute_s, &mut st.comm_s] {
+            *x = codec::get_f64(buf, pos);
+        }
+        assert_eq!(*pos, buf.len(), "trailing bytes in kernel checkpoint");
     }
 }
 
@@ -305,6 +278,9 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
         unsettled_arcs: graph.local_arcs() as u64,
         unsettled_mark: vec![false; n_local],
         stats: SsspRunStats::default(),
+        frontier: Vec::new(),
+        density: (0, 0),
+        settled: Vec::new(),
         xbufs: ExchangeBufs::new(ctx.size()),
         pull_scratch: Vec::new(),
         heavy_scratch: Vec::new(),
@@ -318,7 +294,7 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
         k.buckets.insert(l as u32, 0.0);
     }
 
-    k.main_loop(ctx)?;
+    epoch::run(ctx, &mut k)?;
 
     k.stats.sim_time_s = ctx.now() - start_now;
     k.stats.compute_s = ctx.stats().compute_s - start_stats.compute_s;
@@ -326,157 +302,102 @@ pub fn try_distributed_delta_stepping<P: VertexPartition>(
     Ok((k.sp, k.stats))
 }
 
-impl<P: VertexPartition> Kernel<'_, P> {
-    /// Snapshot counters at a traced superstep's start; `None` when
-    /// tracing is off, so untraced runs skip the clone-free reads too.
-    fn ss_snapshot(&self, ctx: &RankCtx) -> Option<(f64, f64, u64)> {
-        ctx.trace_enabled().then(|| {
+impl<P: VertexPartition> EpochKernel for Kernel<'_, P> {
+    /// One vote per bucket: the next bucket index, and the live residue
+    /// and relaxation total that gate the fused tail.
+    fn next_bucket(&mut self, ctx: &mut RankCtx) -> Option<u64> {
+        let k_local = self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64);
+        let (k, active, relaxed) = ctx.allreduce(
+            (k_local, self.buckets.len() as u64, self.stats.relaxations),
+            |a, b| (a.0.min(b.0), a.1 + b.1, a.2 + b.2),
+        );
+        if k == u64::MAX {
+            return None;
+        }
+        // Two conditions gate the fusion: the live residue is tiny AND
+        // most of the relaxation work is already behind us. The second
+        // guard matters: right after bucket 0 the queue is also tiny
+        // (the search has barely started), and fusing there would run
+        // an unbucketed Bellman-Ford over the entire graph. Before the
+        // first bucket nothing is relaxed yet, so the vote never fuses.
+        let bulk_done = relaxed * 2 > self.graph.global_arcs();
+        if self.opts.bucket_fusion && active < TAIL_THRESHOLD * ctx.size() as u64 && bulk_done {
+            // The tail drains every bucket, so the search is over. It runs
+            // outside every bucket span: its rounds carry flavor 2 and the
+            // per-bucket counters exclude it.
+            self.fused_tail(ctx);
+            self.stats.tail_fused = true;
+            return None;
+        }
+        self.stats.buckets += 1;
+        self.settled_epoch += 1;
+        self.settled.clear();
+        Some(k)
+    }
+
+    fn frontier(&mut self, ctx: &mut RankCtx, k: u64) -> u64 {
+        self.frontier = self.collect_frontier(k as usize);
+        let f_arcs_local: u64 = self
+            .frontier
+            .iter()
+            .map(|&v| self.graph.degree(v as usize) as u64)
+            .sum();
+        let (f_size, f_arcs, unsettled) = ctx.allreduce(
             (
-                ctx.stats().compute_s,
-                ctx.stats().comm_s,
-                self.stats.relaxations,
-            )
-        })
+                self.frontier.len() as u64,
+                f_arcs_local,
+                self.unsettled_arcs,
+            ),
+            |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
+        );
+        self.density = (f_arcs, unsettled);
+        f_size
     }
 
-    /// Close a traced superstep span and emit its compute/comm/relaxation
-    /// deltas. `flavor`: 0 light, 1 heavy, 2 fused tail.
-    fn ss_close(&mut self, ctx: &mut RankCtx, snap: Option<(f64, f64, u64)>, flavor: u64) {
-        ctx.trace_end(TraceCode::Superstep, self.stats.supersteps, flavor);
-        if let Some((c0, m0, r0)) = snap {
-            let dc = ctx.stats().compute_s - c0;
-            let dm = ctx.stats().comm_s - m0;
-            let dr = self.stats.relaxations - r0;
-            ctx.trace_count_f64(TraceCode::SuperstepCompute, dc, flavor);
-            ctx.trace_count_f64(TraceCode::SuperstepComm, dm, flavor);
-            ctx.trace_count(TraceCode::Relaxations, dr, flavor);
-        }
+    /// One light round, push or pull by the agreed frontier density.
+    fn light(&mut self, ctx: &mut RankCtx, k: u64) {
+        epoch::superstep(ctx, self, 0, |s, ctx| {
+            let frontier = std::mem::take(&mut s.frontier);
+            for &v in &frontier {
+                if s.settled_seen[v as usize] != s.settled_epoch {
+                    s.settled_seen[v as usize] = s.settled_epoch;
+                    s.settled.push(v);
+                }
+            }
+            let (f_arcs, unsettled) = s.density;
+            let use_pull = match s.opts.direction {
+                Direction::Push => false,
+                Direction::Pull => true,
+                Direction::Hybrid => f_arcs as f64 * PULL_RATIO > unsettled as f64,
+            };
+            if use_pull {
+                s.stats.pull_iterations += 1;
+                s.pull_iteration(ctx, k as usize, &frontier);
+            } else {
+                s.stats.push_iterations += 1;
+                s.push_iteration(ctx, k as usize, frontier);
+            }
+            s.stats.supersteps += 1;
+        });
     }
 
-    fn main_loop(&mut self, ctx: &mut RankCtx) -> Result<(), FaultEscalation> {
-        // Crash recovery (None on fault-free machines): the epoch-0
-        // checkpoint captures the root insertion above, so a rollback all
-        // the way back restarts the search rather than losing it.
-        let mut rec = Recovery::begin(ctx, &KernelState(self));
-        'outer: loop {
-            if let Some(r) = rec.as_mut() {
-                // Bucket boundary: crash probe + periodic checkpoint. On a
-                // restore the rolled-back state re-enters the loop here.
-                if r.bucket_boundary(ctx, &mut KernelState(self))? {
-                    continue 'outer;
-                }
-            }
-            // One vote per bucket: the next bucket index, and the live
-            // residue and relaxation total that gate the fused tail.
-            let k_local = self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64);
-            let (k, active, relaxed) = ctx.allreduce(
-                (k_local, self.buckets.len() as u64, self.stats.relaxations),
-                |a, b| (a.0.min(b.0), a.1 + b.1, a.2 + b.2),
-            );
-            if k == u64::MAX {
-                break;
-            }
-
-            // ---- fused tail ----
-            // Two conditions gate the fusion: the live residue is tiny AND
-            // most of the relaxation work is already behind us. The second
-            // guard matters: right after bucket 0 the queue is also tiny
-            // (the search has barely started), and fusing there would run
-            // an unbucketed Bellman-Ford over the entire graph. Before the
-            // first bucket nothing is relaxed yet, so the vote never fuses.
-            let bulk_done = relaxed * 2 > self.graph.global_arcs();
-            if self.opts.bucket_fusion
-                && active < self.opts.tail_threshold * ctx.size() as u64
-                && bulk_done
-            {
-                // The tail drains every bucket, so the search is over.
-                self.fused_tail(ctx);
-                self.stats.tail_fused = true;
-                break;
-            }
-
-            self.stats.buckets += 1;
-            ctx.trace_begin(TraceCode::Bucket, k, 0);
-            let phase_start = (ctx.stats().compute_s, ctx.stats().comm_s);
-            let mut phase_frontier = 0u64;
-
-            self.settled_epoch += 1;
-            let mut settled: Vec<u32> = Vec::new();
-
-            // ---- light-edge inner loop ----
-            loop {
-                if let Some(r) = rec.as_mut() {
-                    // Inner superstep probe: a mid-bucket crash rolls back
-                    // to the last bucket-boundary checkpoint, so close the
-                    // open bucket span and restart the outer loop.
-                    if r.probe(ctx, &mut KernelState(self))? {
-                        ctx.trace_end(TraceCode::Bucket, k, 0);
-                        continue 'outer;
-                    }
-                }
-                let frontier = self.collect_frontier(k as usize);
-                let f_arcs_local: u64 = frontier
-                    .iter()
-                    .map(|&v| self.graph.degree(v as usize) as u64)
-                    .sum();
-                let (f_size, f_arcs, unsettled) = ctx.allreduce(
-                    (frontier.len() as u64, f_arcs_local, self.unsettled_arcs),
-                    |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
-                );
-                if f_size == 0 {
-                    break;
-                }
-                let snap = self.ss_snapshot(ctx);
-                ctx.trace_begin(TraceCode::Superstep, self.stats.supersteps, 0);
-                phase_frontier += f_size;
-                for &v in &frontier {
-                    if self.settled_seen[v as usize] != self.settled_epoch {
-                        self.settled_seen[v as usize] = self.settled_epoch;
-                        settled.push(v);
-                    }
-                }
-                let use_pull = match self.opts.direction {
-                    Direction::Push => false,
-                    Direction::Pull => true,
-                    Direction::Hybrid => f_arcs as f64 * self.opts.pull_ratio > unsettled as f64,
-                };
-                if use_pull {
-                    self.stats.pull_iterations += 1;
-                    self.pull_iteration(ctx, k as usize, &frontier);
-                } else {
-                    self.stats.push_iterations += 1;
-                    self.push_iteration(ctx, k as usize, frontier, &mut settled);
-                }
-                self.stats.supersteps += 1;
-                self.ss_close(ctx, snap, 0);
-            }
-
-            // ---- heavy-edge phase (always push, once per settled vertex) ----
-            let snap = self.ss_snapshot(ctx);
-            ctx.trace_begin(TraceCode::Superstep, self.stats.supersteps, 1);
-            ctx.trace_count(TraceCode::Settled, settled.len() as u64, k);
-            self.heavy_phase(ctx, &settled);
-            self.stats.supersteps += 1;
-            self.ss_close(ctx, snap, 1);
-
-            if ctx.trace_enabled() {
-                let dc = ctx.stats().compute_s - phase_start.0;
-                let dm = ctx.stats().comm_s - phase_start.1;
-                ctx.trace_count(TraceCode::BucketFrontier, phase_frontier, k);
-                ctx.trace_count_f64(TraceCode::BucketCompute, dc, k);
-                ctx.trace_count_f64(TraceCode::BucketComm, dm, k);
-            }
-            // The fused tail is deliberately outside every bucket span: its
-            // rounds carry flavor 2 and the per-bucket counters above
-            // exclude it.
-            ctx.trace_end(TraceCode::Bucket, k, 0);
-        }
-        if let Some(r) = rec {
-            r.finish(ctx);
-        }
-        Ok(())
+    /// The heavy round: always push, once per settled vertex.
+    fn heavy(&mut self, ctx: &mut RankCtx, k: u64) {
+        epoch::superstep(ctx, self, 1, |s, ctx| {
+            ctx.trace_count(TraceCode::Settled, s.settled.len() as u64, k);
+            let settled = std::mem::take(&mut s.settled);
+            s.heavy_phase(ctx, &settled);
+            s.settled = settled;
+            s.stats.supersteps += 1;
+        });
     }
 
+    fn progress(&self) -> (u64, u64) {
+        (self.stats.supersteps, self.stats.relaxations)
+    }
+}
+
+impl<P: VertexPartition> Kernel<'_, P> {
     /// Drain the live, deduplicated frontier of bucket `k`.
     fn collect_frontier(&mut self, k: usize) -> Vec<u32> {
         self.frontier_epoch += 1;
@@ -516,17 +437,24 @@ impl<P: VertexPartition> Kernel<'_, P> {
         }
     }
 
+    /// Ship the updates staged in `xbufs`, apply the incoming ones, and
+    /// keep the buffers for the next superstep.
+    fn exchange_and_apply(&mut self, ctx: &mut RankCtx, mut xbufs: ExchangeBufs<Update>) {
+        let outcome = exchange_into(ctx, &mut xbufs, &self.opts);
+        self.stats.updates_sent += outcome.records_sent;
+        self.stats.updates_offered += outcome.records_offered;
+        ctx.charge_compute(xbufs.incoming().len() as u64);
+        for &(v, nd, parent) in xbufs.incoming() {
+            self.apply(v, nd, parent);
+        }
+        self.xbufs = xbufs;
+    }
+
     /// One push-mode light iteration over `frontier`. Cascaded vertices
     /// (local improvements that stay in bucket `k` when fusion is on) are
     /// processed within this superstep and recorded in `settled` so the
     /// heavy phase covers them too.
-    fn push_iteration(
-        &mut self,
-        ctx: &mut RankCtx,
-        k: usize,
-        frontier: Vec<u32>,
-        settled: &mut Vec<u32>,
-    ) {
+    fn push_iteration(&mut self, ctx: &mut RankCtx, k: usize, frontier: Vec<u32>) {
         let me = ctx.rank();
         let delta = self.delta;
         let cascade = self.opts.bucket_fusion;
@@ -557,7 +485,7 @@ impl<P: VertexPartition> Kernel<'_, P> {
                             // bucket k, so the heavy phase must see it
                             if self.settled_seen[l] != self.settled_epoch {
                                 self.settled_seen[l] = self.settled_epoch;
-                                settled.push(l as u32);
+                                self.settled.push(l as u32);
                             }
                             stack.push(l as u32);
                         } else {
@@ -572,14 +500,7 @@ impl<P: VertexPartition> Kernel<'_, P> {
         self.stats.relaxations += relaxed;
         ctx.charge_compute(relaxed);
 
-        let outcome = exchange_into(ctx, &mut xbufs, &self.opts);
-        self.stats.updates_sent += outcome.records_sent;
-        self.stats.updates_offered += outcome.records_offered;
-        ctx.charge_compute(xbufs.incoming().len() as u64);
-        for &(v, nd, parent) in xbufs.incoming() {
-            self.apply(v, nd, parent);
-        }
-        self.xbufs = xbufs;
+        self.exchange_and_apply(ctx, xbufs);
     }
 
     /// One pull-mode light iteration: broadcast the frontier, scan local
@@ -725,21 +646,13 @@ impl<P: VertexPartition> Kernel<'_, P> {
         ctx.charge_compute(relaxed);
         ctx.trace_end(TraceCode::TaskWave, settled.len() as u64, 1);
 
-        let outcome = exchange_into(ctx, &mut xbufs, &self.opts);
-        self.stats.updates_sent += outcome.records_sent;
-        self.stats.updates_offered += outcome.records_offered;
-        ctx.charge_compute(xbufs.incoming().len() as u64);
-        for &(v, nd, parent) in xbufs.incoming() {
-            self.apply(v, nd, parent);
-        }
-        self.xbufs = xbufs;
+        self.exchange_and_apply(ctx, xbufs);
     }
 
     /// Fused Bellman-Ford tail: once the global residue is tiny, bucket
     /// discipline only adds synchronization — drain everything and relax to
     /// fixpoint, all edge classes at once.
     fn fused_tail(&mut self, ctx: &mut RankCtx) {
-        let me = ctx.rank();
         self.frontier_epoch += 1;
         let mut frontier: Vec<u32> = Vec::new();
         for v in self.buckets.drain_all() {
@@ -751,71 +664,75 @@ impl<P: VertexPartition> Kernel<'_, P> {
             }
         }
 
-        let mut xbufs = std::mem::take(&mut self.xbufs);
         loop {
-            let snap = self.ss_snapshot(ctx);
-            ctx.trace_begin(TraceCode::Superstep, self.stats.supersteps, 2);
-            let mut next: Vec<u32> = Vec::new();
-            let mut relaxed = 0u64;
-            let mut stack = std::mem::take(&mut frontier);
-            self.frontier_epoch += 1;
-            let graph = self.graph;
-            while let Some(u) = stack.pop() {
-                let du = self.sp.dist[u as usize];
-                let u_global = graph.part().to_global(me, u as usize);
-                let vs = graph.neighbors(u as usize);
-                let ws = graph.edge_weights(u as usize);
-                for (&v, &w) in vs.iter().zip(ws) {
-                    relaxed += 1;
-                    let nd = du + w;
-                    let owner = graph.part().owner(v);
-                    if owner == me {
-                        let l = graph.part().to_local(v);
-                        if nd < self.sp.dist[l] {
-                            self.sp.dist[l] = nd;
-                            self.sp.parent[l] = u_global;
-                            // round-synchronous: defer to the next round.
-                            // (an in-round LIFO cascade is label-correcting
-                            // with worst-case re-relaxation blowup)
-                            if self.frontier_seen[l] != self.frontier_epoch {
-                                self.frontier_seen[l] = self.frontier_epoch;
-                                next.push(l as u32);
-                            }
-                        }
-                    } else {
-                        xbufs.bucket_mut(owner).push((v, nd, u_global));
-                    }
-                }
-            }
-            self.stats.relaxations += relaxed;
-            ctx.charge_compute(relaxed);
-
-            let outcome = exchange_into(ctx, &mut xbufs, &self.opts);
-            self.stats.updates_sent += outcome.records_sent;
-            self.stats.updates_offered += outcome.records_offered;
-            self.stats.supersteps += 1;
-            ctx.charge_compute(xbufs.incoming().len() as u64);
-            for &(v, nd, parent) in xbufs.incoming() {
-                let l = self.graph.part().to_local(v);
-                if nd < self.sp.dist[l] {
-                    self.sp.dist[l] = nd;
-                    self.sp.parent[l] = parent;
-                    if self.frontier_seen[l] != self.frontier_epoch {
-                        self.frontier_seen[l] = self.frontier_epoch;
-                        next.push(l as u32);
-                    }
-                }
-            }
-            let remaining = ctx.allreduce_sum(next.len() as u64);
-            frontier = next;
-            self.ss_close(ctx, snap, 2);
+            let (next, remaining) =
+                epoch::superstep(ctx, self, 2, move |s, ctx| s.tail_round(ctx, frontier));
             if remaining == 0 {
                 break;
             }
+            frontier = next;
         }
-        self.xbufs = xbufs;
         // Buckets were drained; `drain_all` plus direct dist writes keep the
         // queue empty, so the caller ends the search without another vote.
+    }
+
+    /// One round-synchronous Bellman-Ford round of the fused tail over
+    /// `frontier`, all edge classes at once. Returns the next round's
+    /// frontier and its agreed global size.
+    fn tail_round(&mut self, ctx: &mut RankCtx, mut stack: Vec<u32>) -> (Vec<u32>, u64) {
+        let me = ctx.rank();
+        let graph = self.graph;
+        let mut next: Vec<u32> = Vec::new();
+        let mut relaxed = 0u64;
+        self.frontier_epoch += 1;
+        while let Some(u) = stack.pop() {
+            let du = self.sp.dist[u as usize];
+            let u_global = graph.part().to_global(me, u as usize);
+            let vs = graph.neighbors(u as usize);
+            let ws = graph.edge_weights(u as usize);
+            for (&v, &w) in vs.iter().zip(ws) {
+                relaxed += 1;
+                let nd = du + w;
+                let owner = graph.part().owner(v);
+                if owner == me {
+                    let l = graph.part().to_local(v);
+                    if nd < self.sp.dist[l] {
+                        self.sp.dist[l] = nd;
+                        self.sp.parent[l] = u_global;
+                        // round-synchronous: defer to the next round.
+                        // (an in-round LIFO cascade is label-correcting
+                        // with worst-case re-relaxation blowup)
+                        if self.frontier_seen[l] != self.frontier_epoch {
+                            self.frontier_seen[l] = self.frontier_epoch;
+                            next.push(l as u32);
+                        }
+                    }
+                } else {
+                    self.xbufs.bucket_mut(owner).push((v, nd, u_global));
+                }
+            }
+        }
+        self.stats.relaxations += relaxed;
+        ctx.charge_compute(relaxed);
+
+        let outcome = exchange_into(ctx, &mut self.xbufs, &self.opts);
+        self.stats.updates_sent += outcome.records_sent;
+        self.stats.updates_offered += outcome.records_offered;
+        self.stats.supersteps += 1;
+        ctx.charge_compute(self.xbufs.incoming().len() as u64);
+        for &(v, nd, parent) in self.xbufs.incoming() {
+            let l = graph.part().to_local(v);
+            if nd < self.sp.dist[l] {
+                self.sp.dist[l] = nd;
+                self.sp.parent[l] = parent;
+                if self.frontier_seen[l] != self.frontier_epoch {
+                    self.frontier_seen[l] = self.frontier_epoch;
+                    next.push(l as u32);
+                }
+            }
+        }
+        let remaining = ctx.allreduce_sum(next.len() as u64);
+        (next, remaining)
     }
 }
 

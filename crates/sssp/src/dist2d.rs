@@ -26,11 +26,11 @@
 //! results are directly comparable and equally validatable.
 
 use crate::bucket::BucketQueue;
-use crate::dist::{get_weight_vec, put_weight_slice};
+use crate::epoch::{self, load_paths, save_paths, EpochKernel};
 use g500_graph::{Csr, EdgeList, ShortestPaths, VertexId, WEdge, Weight};
 use g500_partition::{Block1D, VertexPartition};
 use rayon::prelude::*;
-use simnet::recovery::{codec, Checkpoint, FaultEscalation, Recovery};
+use simnet::recovery::{codec, Checkpoint, FaultEscalation};
 use simnet::{RankCtx, SubComm, TraceCode};
 use std::collections::HashMap;
 
@@ -50,40 +50,6 @@ pub struct Sssp2DStats {
     pub frontier_records: u64,
     /// Candidate records reduced down columns (post-dedup).
     pub update_records: u64,
-}
-
-/// Borrow of the 2D kernel's mutable per-run state for checkpoint/restore:
-/// diagonal vertex state plus the run counters (the scratch arenas are
-/// overwritten before every read and stay out).
-struct GridState<'a> {
-    dist: &'a mut Vec<Weight>,
-    parent: &'a mut Vec<u64>,
-    buckets: &'a mut BucketQueue,
-    stats: &'a mut Sssp2DStats,
-}
-
-impl Checkpoint for GridState<'_> {
-    fn save(&self, out: &mut Vec<u8>) {
-        put_weight_slice(out, self.dist);
-        codec::put_u64_slice(out, self.parent);
-        self.buckets.save(out);
-        codec::put_u64(out, self.stats.supersteps);
-        codec::put_u64(out, self.stats.relaxations);
-        codec::put_u64(out, self.stats.frontier_records);
-        codec::put_u64(out, self.stats.update_records);
-    }
-
-    fn load(&mut self, buf: &[u8]) {
-        let mut pos = 0;
-        *self.dist = get_weight_vec(buf, &mut pos);
-        *self.parent = codec::get_u64_vec(buf, &mut pos);
-        self.buckets.load(buf, &mut pos);
-        self.stats.supersteps = codec::get_u64(buf, &mut pos);
-        self.stats.relaxations = codec::get_u64(buf, &mut pos);
-        self.stats.frontier_records = codec::get_u64(buf, &mut pos);
-        self.stats.update_records = codec::get_u64(buf, &mut pos);
-        assert_eq!(pos, buf.len(), "trailing bytes in 2D kernel checkpoint");
-    }
 }
 
 /// The per-rank state of the 2D kernel.
@@ -107,6 +73,12 @@ pub struct Grid2DSssp {
     dist: Vec<Weight>,
     parent: Vec<u64>,
     buckets: BucketQueue,
+    /// Counters of the current run.
+    stats: Sssp2DStats,
+    /// The current light round's frontier, and everything the current
+    /// bucket settled (diagonal local indices).
+    frontier: Vec<u32>,
+    settled: Vec<u32>,
     /// Round-scratch arenas reused across every superstep of a run: the
     /// flattened row-broadcast frontier and the parallel relax-scan output.
     active_scratch: Vec<(u64, f32)>,
@@ -177,6 +149,9 @@ impl Grid2DSssp {
             dist: vec![f32::INFINITY; state_n],
             parent: vec![u64::MAX; state_n],
             buckets: BucketQueue::new(delta),
+            stats: Sssp2DStats::default(),
+            frontier: Vec::new(),
+            settled: Vec::new(),
             active_scratch: Vec::new(),
             relax_scratch: Vec::new(),
         }
@@ -200,22 +175,16 @@ impl Grid2DSssp {
 
     /// [`Grid2DSssp::run`] with crash recovery surfaced as a typed error:
     /// checkpoints at bucket boundaries, probes every superstep, rolls
-    /// back and replays on an agreed verdict. Off-diagonal ranks snapshot
-    /// their (empty) state too, keeping every collective aligned.
+    /// back and replays on an agreed verdict.
     pub fn try_run(
         &mut self,
         ctx: &mut RankCtx,
         root: VertexId,
     ) -> Result<Sssp2DStats, FaultEscalation> {
         let delta = self.buckets.delta();
-        let mut stats = Sssp2DStats::default();
-        // reset state between runs
-        for d in self.dist.iter_mut() {
-            *d = f32::INFINITY;
-        }
-        for pz in self.parent.iter_mut() {
-            *pz = u64::MAX;
-        }
+        self.stats = Sssp2DStats::default();
+        self.dist.fill(f32::INFINITY);
+        self.parent.fill(u64::MAX);
         self.buckets = BucketQueue::new(delta);
         if self.is_diag() && self.blocks.owner(root) == self.row {
             let l = self.blocks.to_local(root);
@@ -223,86 +192,8 @@ impl Grid2DSssp {
             self.parent[l] = root;
             self.buckets.insert(l as u32, 0.0);
         }
-
-        let mut rec = Recovery::begin(
-            ctx,
-            &GridState {
-                dist: &mut self.dist,
-                parent: &mut self.parent,
-                buckets: &mut self.buckets,
-                stats: &mut stats,
-            },
-        );
-        'outer: loop {
-            if let Some(r) = rec.as_mut() {
-                let mut st = GridState {
-                    dist: &mut self.dist,
-                    parent: &mut self.parent,
-                    buckets: &mut self.buckets,
-                    stats: &mut stats,
-                };
-                if r.bucket_boundary(ctx, &mut st)? {
-                    continue 'outer;
-                }
-            }
-            let k_local = if self.is_diag() {
-                self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64)
-            } else {
-                u64::MAX
-            };
-            let k = ctx.allreduce(k_local, |a, b| *a.min(b));
-            if k == u64::MAX {
-                break;
-            }
-            ctx.trace_begin(TraceCode::Bucket, k, 0);
-            let bucket_snap = ctx
-                .trace_enabled()
-                .then(|| (ctx.stats().compute_s, ctx.stats().comm_s));
-            let mut bucket_frontier = 0u64;
-            let mut settled: Vec<u32> = Vec::new();
-            // light inner loop
-            loop {
-                if let Some(r) = rec.as_mut() {
-                    let mut st = GridState {
-                        dist: &mut self.dist,
-                        parent: &mut self.parent,
-                        buckets: &mut self.buckets,
-                        stats: &mut stats,
-                    };
-                    if r.probe(ctx, &mut st)? {
-                        // mid-bucket rollback: close the open span and
-                        // restart the outer loop from the restored state
-                        ctx.trace_end(TraceCode::Bucket, k, 0);
-                        continue 'outer;
-                    }
-                }
-                let frontier = self.collect_frontier(k as usize);
-                let total = ctx.allreduce(frontier.len() as u64, |a, b| a + b);
-                if total == 0 {
-                    break;
-                }
-                bucket_frontier += total;
-                settled.extend_from_slice(&frontier);
-                self.relax_round(ctx, &frontier, |w| w < delta, &mut stats, 0);
-            }
-            // heavy pass
-            settled.sort_unstable();
-            settled.dedup();
-            ctx.trace_count(TraceCode::Settled, settled.len() as u64, k);
-            self.relax_round(ctx, &settled, |w| w >= delta, &mut stats, 1);
-            if let Some((c0, m0)) = bucket_snap {
-                let dc = ctx.stats().compute_s - c0;
-                let dm = ctx.stats().comm_s - m0;
-                ctx.trace_count(TraceCode::BucketFrontier, bucket_frontier, k);
-                ctx.trace_count_f64(TraceCode::BucketCompute, dc, k);
-                ctx.trace_count_f64(TraceCode::BucketComm, dm, k);
-            }
-            ctx.trace_end(TraceCode::Bucket, k, 0);
-        }
-        if let Some(r) = rec {
-            r.finish(ctx);
-        }
-        Ok(stats)
+        epoch::run(ctx, self)?;
+        Ok(std::mem::take(&mut self.stats))
     }
 
     fn collect_frontier(&mut self, k: usize) -> Vec<u32> {
@@ -328,14 +219,7 @@ impl Grid2DSssp {
         ctx: &mut RankCtx,
         frontier: &[u32],
         class: impl Fn(Weight) -> bool + Sync,
-        stats: &mut Sssp2DStats,
-        flavor: u64,
     ) {
-        let ss = stats.supersteps;
-        let snap = ctx
-            .trace_enabled()
-            .then(|| (ctx.stats().compute_s, ctx.stats().comm_s, stats.relaxations));
-        ctx.trace_begin(TraceCode::Superstep, ss, flavor);
         // 1. row broadcast: only the diagonal member contributes
         let mine: Vec<(u64, f32)> = if self.is_diag() {
             frontier
@@ -345,7 +229,7 @@ impl Grid2DSssp {
         } else {
             Vec::new()
         };
-        stats.frontier_records += mine.len() as u64 * (self.side as u64 - 1);
+        self.stats.frontier_records += mine.len() as u64 * (self.side as u64 - 1);
         let mut blocks_in = self.row_comm.allgatherv(ctx, &mine);
         // Flatten in the (possibly fuzzed) delivery order; relaxation below
         // min-aggregates, so the order cannot change distances.
@@ -407,7 +291,7 @@ impl Grid2DSssp {
                 }
             }
         }
-        stats.relaxations += relaxed;
+        self.stats.relaxations += relaxed;
         ctx.charge_compute(relaxed);
         ctx.trace_end(TraceCode::TaskWave, active.len() as u64, 4);
         self.relax_scratch = per_chunk;
@@ -418,9 +302,9 @@ impl Grid2DSssp {
         let mut col_out: Vec<Vec<(u64, f32, u64)>> = vec![Vec::new(); self.col_comm.size()];
         let diag_sub = self.col; // in column c, the diagonal is grid row c
         col_out[diag_sub] = best.into_iter().map(|(v, (d, par))| (v, d, par)).collect();
-        stats.update_records += col_out[diag_sub].len() as u64;
+        self.stats.update_records += col_out[diag_sub].len() as u64;
         let incoming = self.col_comm.alltoallv(ctx, col_out);
-        stats.supersteps += 1;
+        self.stats.supersteps += 1;
 
         // 4. apply on the diagonal
         if self.is_diag() {
@@ -439,16 +323,6 @@ impl Grid2DSssp {
                 }
             }
             ctx.charge_compute(applied);
-        }
-
-        ctx.trace_end(TraceCode::Superstep, ss, flavor);
-        if let Some((c0, m0, r0)) = snap {
-            let dc = ctx.stats().compute_s - c0;
-            let dm = ctx.stats().comm_s - m0;
-            let dr = stats.relaxations - r0;
-            ctx.trace_count_f64(TraceCode::SuperstepCompute, dc, flavor);
-            ctx.trace_count_f64(TraceCode::SuperstepComm, dm, flavor);
-            ctx.trace_count(TraceCode::Relaxations, dr, flavor);
         }
     }
 
@@ -473,6 +347,85 @@ impl Grid2DSssp {
             }
         }
         out
+    }
+}
+
+/// Diagonal vertex state plus the run counters; the round buffers and
+/// scratch arenas are overwritten before every read and stay out.
+/// Off-diagonal ranks snapshot their (empty) state too, keeping every
+/// collective aligned.
+impl Checkpoint for Grid2DSssp {
+    fn save(&self, out: &mut Vec<u8>) {
+        save_paths(&self.dist, &self.parent, out);
+        self.buckets.save(out);
+        let st = &self.stats;
+        for x in [
+            st.supersteps,
+            st.relaxations,
+            st.frontier_records,
+            st.update_records,
+        ] {
+            codec::put_u64(out, x);
+        }
+    }
+
+    fn load(&mut self, buf: &[u8]) {
+        let mut pos = 0;
+        load_paths(&mut self.dist, &mut self.parent, buf, &mut pos);
+        self.buckets.load(buf, &mut pos);
+        let st = &mut self.stats;
+        for x in [
+            &mut st.supersteps,
+            &mut st.relaxations,
+            &mut st.frontier_records,
+            &mut st.update_records,
+        ] {
+            *x = codec::get_u64(buf, &mut pos);
+        }
+        assert_eq!(pos, buf.len(), "trailing bytes in 2D kernel checkpoint");
+    }
+}
+
+impl EpochKernel for Grid2DSssp {
+    fn next_bucket(&mut self, ctx: &mut RankCtx) -> Option<u64> {
+        let k_local = if self.is_diag() {
+            self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64)
+        } else {
+            u64::MAX
+        };
+        let k = ctx.allreduce(k_local, |a, b| *a.min(b));
+        self.settled.clear();
+        (k != u64::MAX).then_some(k)
+    }
+
+    fn frontier(&mut self, ctx: &mut RankCtx, k: u64) -> u64 {
+        self.frontier = self.collect_frontier(k as usize);
+        ctx.allreduce(self.frontier.len() as u64, |a, b| a + b)
+    }
+
+    fn light(&mut self, ctx: &mut RankCtx, _k: u64) {
+        let delta = self.buckets.delta();
+        let frontier = std::mem::take(&mut self.frontier);
+        self.settled.extend_from_slice(&frontier);
+        epoch::superstep(ctx, self, 0, |s, ctx| {
+            s.relax_round(ctx, &frontier, |w| w < delta)
+        });
+    }
+
+    fn heavy(&mut self, ctx: &mut RankCtx, k: u64) {
+        let delta = self.buckets.delta();
+        let mut settled = std::mem::take(&mut self.settled);
+        settled.sort_unstable();
+        settled.dedup();
+        ctx.trace_count(TraceCode::Settled, settled.len() as u64, k);
+        epoch::superstep(ctx, self, 1, |s, ctx| {
+            s.relax_round(ctx, &settled, |w| w >= delta)
+        });
+        self.settled = settled;
+    }
+
+    fn progress(&self) -> (u64, u64) {
+        (self.stats.supersteps, self.stats.relaxations)
     }
 }
 

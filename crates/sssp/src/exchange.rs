@@ -12,19 +12,30 @@
 //! arrives either way (dedup drops only updates that a later min() would
 //! discard anyway).
 
-use crate::codec::{
-    decode_tagged, decode_updates, dedup_min, dedup_min_tagged, encode_tagged, encode_updates,
-    TaggedUpdate, Update,
-};
 use crate::config::OptConfig;
 use rayon::prelude::*;
+use simnet::wire::Wire;
 use simnet::{RankCtx, TraceCode};
 
-/// Tag for non-coalesced per-update messages.
-const TAG_SINGLE_UPDATE: u64 = 0x5550;
-
-/// Tag for non-coalesced per-update messages on the lane-tagged path.
-const TAG_SINGLE_TAGGED: u64 = 0x5551;
+/// A record type the exchange can ship: its dedup rule, its compressed
+/// wire format, the tag of its one-message-per-record path and the flavor
+/// of its `Exchange` trace span. [`crate::codec`] implements it for
+/// [`Update`](crate::codec::Update) (flavor 0) and
+/// [`TaggedUpdate`](crate::codec::TaggedUpdate) (flavor 1).
+pub(crate) trait ExchangeRecord: Wire + Copy + Send + Sync + 'static {
+    /// Tag of the non-coalesced per-record messages.
+    const SINGLE_TAG: u64;
+    /// `b` of the `Exchange` span and its update counters.
+    const FLAVOR: u64;
+    /// Sort one destination bucket and drop the records a later min()
+    /// would discard anyway.
+    fn dedup(bucket: &mut Vec<Self>);
+    /// Encode one destination bucket; `sorted` says whether dedup already
+    /// put it in wire order.
+    fn encode(records: &[Self], sorted: bool) -> Vec<u8>;
+    /// Decode a buffer produced by [`ExchangeRecord::encode`].
+    fn decode(buf: &[u8]) -> Option<Vec<Self>>;
+}
 
 /// What one exchange did, for the run statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -44,15 +55,24 @@ pub struct ExchangeOutcome {
 /// of reallocated per exchange. The non-coalesced and `alltoallv` wire
 /// paths still consume the bucket Vecs (they are handed to the transport),
 /// but the container and the hot dedup/encode paths reuse capacity.
-#[derive(Debug, Default)]
-pub struct ExchangeBufs {
-    out: Vec<Vec<Update>>,
-    incoming: Vec<Update>,
+#[derive(Debug)]
+pub(crate) struct ExchangeBufs<R> {
+    out: Vec<Vec<R>>,
+    incoming: Vec<R>,
 }
 
-impl ExchangeBufs {
+impl<R> Default for ExchangeBufs<R> {
+    fn default() -> Self {
+        ExchangeBufs {
+            out: Vec::new(),
+            incoming: Vec::new(),
+        }
+    }
+}
+
+impl<R: ExchangeRecord> ExchangeBufs<R> {
     /// Scratch for a `p`-rank exchange, with one (empty) bucket per rank.
-    pub fn new(p: usize) -> ExchangeBufs {
+    pub(crate) fn new(p: usize) -> Self {
         ExchangeBufs {
             out: (0..p).map(|_| Vec::new()).collect(),
             incoming: Vec::new(),
@@ -60,81 +80,44 @@ impl ExchangeBufs {
     }
 
     /// The outgoing bucket for destination rank `d`.
-    pub fn bucket_mut(&mut self, d: usize) -> &mut Vec<Update> {
+    pub(crate) fn bucket_mut(&mut self, d: usize) -> &mut Vec<R> {
         &mut self.out[d]
     }
 
-    /// All outgoing buckets, for bulk filling.
-    pub fn buckets_mut(&mut self) -> &mut [Vec<Update>] {
-        &mut self.out
-    }
-
-    /// Updates received by the last [`exchange_into`] call.
-    pub fn incoming(&self) -> &[Update] {
+    /// Records received by the last [`exchange_into`] call.
+    pub(crate) fn incoming(&self) -> &[R] {
         &self.incoming
-    }
-
-    /// Total records currently staged across all buckets.
-    pub fn staged(&self) -> u64 {
-        self.out.iter().map(|b| b.len() as u64).sum()
     }
 }
 
 /// Ship the staged buckets of `bufs` to every rank, leaving the flattened
-/// incoming updates in `bufs.incoming` (and the buckets empty, capacity
-/// retained where the wire path allows). Collective: every rank must call
-/// with the same `opts`. Semantically identical to [`exchange_updates`];
-/// this entry point only adds scratch reuse.
-pub fn exchange_into(
+/// incoming records in `bufs.incoming` (cleared first). On return every
+/// bucket is empty; on the compressed path (which only *reads* the buckets
+/// to encode) their capacity survives for the next superstep, while the
+/// uncompressed paths hand the Vecs themselves to the transport.
+/// Collective: every rank must call with the same `opts`.
+pub(crate) fn exchange_into<R: ExchangeRecord>(
     ctx: &mut RankCtx,
-    bufs: &mut ExchangeBufs,
+    bufs: &mut ExchangeBufs<R>,
     opts: &OptConfig,
 ) -> ExchangeOutcome {
     let ExchangeBufs { out, incoming } = bufs;
-    exchange_core(ctx, out, incoming, opts)
-}
-
-/// Ship `out[d]` to every rank `d`; return the flattened incoming updates.
-/// Collective: every rank must call with the same `opts`.
-pub fn exchange_updates(
-    ctx: &mut RankCtx,
-    mut out: Vec<Vec<Update>>,
-    opts: &OptConfig,
-) -> (Vec<Update>, ExchangeOutcome) {
-    let mut incoming = Vec::new();
-    let outcome = exchange_core(ctx, &mut out, &mut incoming, opts);
-    (incoming, outcome)
-}
-
-/// Shared implementation: dedups + ships the buckets in `out`, leaving the
-/// received updates in `incoming` (cleared first). On return every bucket
-/// is empty; on the compressed path (which only *reads* the buckets to
-/// encode) their capacity survives for the next superstep, while the
-/// uncompressed paths hand the Vecs themselves to the transport.
-fn exchange_core(
-    ctx: &mut RankCtx,
-    out: &mut [Vec<Update>],
-    incoming: &mut Vec<Update>,
-    opts: &OptConfig,
-) -> ExchangeOutcome {
     let p = ctx.size();
     assert_eq!(out.len(), p);
     let mut outcome = ExchangeOutcome {
         records_offered: out.iter().map(|b| b.len() as u64).sum(),
         ..Default::default()
     };
-    ctx.trace_begin(TraceCode::Exchange, outcome.records_offered, 0);
+    ctx.trace_begin(TraceCode::Exchange, outcome.records_offered, R::FLAVOR);
 
     if opts.dedup {
         let work = outcome.records_offered;
         // Destination buckets are independent; dedup each in parallel (one
-        // bucket per chunk — buckets are few and large). dedup_min is a
-        // pure function of the bucket's contents, so shipped bytes are
-        // identical at any thread count.
+        // bucket per chunk — buckets are few and large). Dedup is a pure
+        // function of the bucket's contents, so shipped bytes are identical
+        // at any thread count.
         ctx.trace_begin(TraceCode::TaskWave, p as u64, 2);
-        out.par_iter_mut().with_min_len(1).for_each(|b| {
-            dedup_min(b);
-        });
+        out.par_iter_mut().with_min_len(1).for_each(R::dedup);
         // the sort is the modeled "on-chip sort" cost
         ctx.charge_compute(work);
         ctx.trace_end(TraceCode::TaskWave, p as u64, 2);
@@ -143,8 +126,8 @@ fn exchange_core(
 
     incoming.clear();
     if !opts.coalescing {
-        let taken: Vec<Vec<Update>> = out.iter_mut().map(std::mem::take).collect();
-        exchange_one_message_per_update(ctx, taken, incoming);
+        let taken: Vec<Vec<R>> = out.iter_mut().map(std::mem::take).collect();
+        exchange_one_message_per_record(ctx, taken, incoming);
     } else if opts.compression {
         // encode per destination (in parallel, ordered combine); sortedness
         // comes from dedup when enabled
@@ -152,7 +135,7 @@ fn exchange_core(
         let enc: Vec<Vec<u8>> = out
             .par_iter()
             .with_min_len(1)
-            .map(|b| encode_updates(b, opts.dedup))
+            .map(|b| R::encode(b, opts.dedup))
             .collect();
         ctx.charge_compute(outcome.records_sent);
         ctx.trace_end(TraceCode::TaskWave, p as u64, 3);
@@ -167,13 +150,12 @@ fn exchange_core(
         let order = ctx.delivery_order(blocks.len());
         for s in order {
             let block = std::mem::take(&mut blocks[s]);
-            let mut dec =
-                decode_updates(&block).expect("self-produced update encoding is well-formed");
+            let mut dec = R::decode(&block).expect("self-produced encoding is well-formed");
             ctx.charge_compute(dec.len() as u64);
             incoming.append(&mut dec);
         }
     } else {
-        let taken: Vec<Vec<Update>> = out.iter_mut().map(std::mem::take).collect();
+        let taken: Vec<Vec<R>> = out.iter_mut().map(std::mem::take).collect();
         let mut blocks = ctx.alltoallv(taken);
         let order = ctx.delivery_order(blocks.len());
         for s in order {
@@ -182,159 +164,24 @@ fn exchange_core(
     }
 
     outcome.records_received = incoming.len() as u64;
-    ctx.trace_count(TraceCode::UpdatesSent, outcome.records_sent, 0);
-    ctx.trace_count(TraceCode::UpdatesReceived, outcome.records_received, 0);
-    ctx.trace_end(TraceCode::Exchange, outcome.records_offered, 0);
+    ctx.trace_count(TraceCode::UpdatesSent, outcome.records_sent, R::FLAVOR);
+    ctx.trace_count(
+        TraceCode::UpdatesReceived,
+        outcome.records_received,
+        R::FLAVOR,
+    );
+    ctx.trace_end(TraceCode::Exchange, outcome.records_offered, R::FLAVOR);
     outcome
 }
 
-/// Reusable exchange scratch for the lane-tagged update stream of the
-/// batched multi-source kernel — the source-tagged twin of
-/// [`ExchangeBufs`], carrying `(lane, target, dist, parent)` records.
-#[derive(Debug, Default)]
-pub struct TaggedExchangeBufs {
-    out: Vec<Vec<TaggedUpdate>>,
-    incoming: Vec<TaggedUpdate>,
-}
-
-impl TaggedExchangeBufs {
-    /// Scratch for a `p`-rank exchange, with one (empty) bucket per rank.
-    pub fn new(p: usize) -> TaggedExchangeBufs {
-        TaggedExchangeBufs {
-            out: (0..p).map(|_| Vec::new()).collect(),
-            incoming: Vec::new(),
-        }
-    }
-
-    /// The outgoing bucket for destination rank `d`.
-    pub fn bucket_mut(&mut self, d: usize) -> &mut Vec<TaggedUpdate> {
-        &mut self.out[d]
-    }
-
-    /// Updates received by the last [`exchange_tagged_into`] call.
-    pub fn incoming(&self) -> &[TaggedUpdate] {
-        &self.incoming
-    }
-
-    /// Total records currently staged across all buckets.
-    pub fn staged(&self) -> u64 {
-        self.out.iter().map(|b| b.len() as u64).sum()
-    }
-}
-
-/// Ship the staged lane-tagged buckets to every rank, honoring the same
-/// `opts` toggles as the single-source path: dedup keeps the canonical
-/// minimum per (lane, target), coalescing aggregates per destination, and
-/// compression lane-groups the gap+varint codec. Collective: every rank
-/// must call with the same `opts`. Because dedup *and* the compressed
-/// wire format both order records by the canonical full key, the bytes a
-/// lane receives are a function of its update set only — independent of
-/// which other lanes share the batch.
-pub fn exchange_tagged_into(
-    ctx: &mut RankCtx,
-    bufs: &mut TaggedExchangeBufs,
-    opts: &OptConfig,
-) -> ExchangeOutcome {
-    let TaggedExchangeBufs { out, incoming } = bufs;
-    let p = ctx.size();
-    assert_eq!(out.len(), p);
-    let mut outcome = ExchangeOutcome {
-        records_offered: out.iter().map(|b| b.len() as u64).sum(),
-        ..Default::default()
-    };
-    ctx.trace_begin(TraceCode::Exchange, outcome.records_offered, 1);
-
-    if opts.dedup {
-        let work = outcome.records_offered;
-        ctx.trace_begin(TraceCode::TaskWave, p as u64, 2);
-        out.par_iter_mut().with_min_len(1).for_each(|b| {
-            dedup_min_tagged(b);
-        });
-        ctx.charge_compute(work);
-        ctx.trace_end(TraceCode::TaskWave, p as u64, 2);
-    }
-    outcome.records_sent = out.iter().map(|b| b.len() as u64).sum();
-
-    incoming.clear();
-    if !opts.coalescing {
-        let taken: Vec<Vec<TaggedUpdate>> = out.iter_mut().map(std::mem::take).collect();
-        exchange_one_message_per_tagged(ctx, taken, incoming);
-    } else if opts.compression {
-        ctx.trace_begin(TraceCode::TaskWave, p as u64, 3);
-        let enc: Vec<Vec<u8>> = out
-            .par_iter()
-            .with_min_len(1)
-            .map(|b| encode_tagged(b, opts.dedup))
-            .collect();
-        ctx.charge_compute(outcome.records_sent);
-        ctx.trace_end(TraceCode::TaskWave, p as u64, 3);
-        for b in out.iter_mut() {
-            b.clear();
-        }
-        let mut blocks = ctx.alltoallv(enc);
-        let order = ctx.delivery_order(blocks.len());
-        for s in order {
-            let block = std::mem::take(&mut blocks[s]);
-            let mut dec =
-                decode_tagged(&block).expect("self-produced tagged encoding is well-formed");
-            ctx.charge_compute(dec.len() as u64);
-            incoming.append(&mut dec);
-        }
-    } else {
-        let taken: Vec<Vec<TaggedUpdate>> = out.iter_mut().map(std::mem::take).collect();
-        let mut blocks = ctx.alltoallv(taken);
-        let order = ctx.delivery_order(blocks.len());
-        for s in order {
-            incoming.append(&mut blocks[s]);
-        }
-    }
-
-    outcome.records_received = incoming.len() as u64;
-    ctx.trace_count(TraceCode::UpdatesSent, outcome.records_sent, 1);
-    ctx.trace_count(TraceCode::UpdatesReceived, outcome.records_received, 1);
-    ctx.trace_end(TraceCode::Exchange, outcome.records_offered, 1);
-    outcome
-}
-
-/// The no-coalescing path for lane-tagged updates: one message per record,
-/// mirroring [`exchange_one_message_per_update`].
-fn exchange_one_message_per_tagged(
-    ctx: &mut RankCtx,
-    out: Vec<Vec<TaggedUpdate>>,
-    incoming: &mut Vec<TaggedUpdate>,
-) {
-    let me = ctx.rank();
-    let counts: Vec<Vec<u64>> = out.iter().map(|b| vec![b.len() as u64]).collect();
-    let counts_in = ctx.alltoallv(counts);
-
-    for (d, block) in out.into_iter().enumerate() {
-        if d == me {
-            incoming.extend(block);
-        } else {
-            for u in block {
-                ctx.send(d, TAG_SINGLE_TAGGED, &[u]);
-            }
-        }
-    }
-    let order = ctx.delivery_order(counts_in.len());
-    for s in order {
-        if s == me {
-            continue;
-        }
-        for _ in 0..counts_in[s][0] {
-            incoming.push(ctx.recv_one::<TaggedUpdate>(s, TAG_SINGLE_TAGGED));
-        }
-    }
-}
-
-/// The no-coalescing path: every update is its own message. Counts are
+/// The no-coalescing path: every record is its own message. Counts are
 /// agreed via a (cheap, aggregated) all-to-all first so receivers know how
 /// many singletons to expect from each peer; per-sender FIFO ordering makes
 /// the tag reuse across supersteps safe.
-fn exchange_one_message_per_update(
+fn exchange_one_message_per_record<R: ExchangeRecord>(
     ctx: &mut RankCtx,
-    out: Vec<Vec<Update>>,
-    incoming: &mut Vec<Update>,
+    out: Vec<Vec<R>>,
+    incoming: &mut Vec<R>,
 ) {
     let me = ctx.rank();
     let counts: Vec<Vec<u64>> = out.iter().map(|b| vec![b.len() as u64]).collect();
@@ -342,10 +189,10 @@ fn exchange_one_message_per_update(
 
     for (d, block) in out.into_iter().enumerate() {
         if d == me {
-            incoming.extend(block); // local updates never hit the wire
+            incoming.extend(block); // local records never hit the wire
         } else {
             for u in block {
-                ctx.send(d, TAG_SINGLE_UPDATE, &[u]);
+                ctx.send(d, R::SINGLE_TAG, &[u]);
             }
         }
     }
@@ -357,7 +204,7 @@ fn exchange_one_message_per_update(
             continue;
         }
         for _ in 0..counts_in[s][0] {
-            incoming.push(ctx.recv_one::<Update>(s, TAG_SINGLE_UPDATE));
+            incoming.push(ctx.recv_one::<R>(s, R::SINGLE_TAG));
         }
     }
 }
@@ -365,6 +212,7 @@ fn exchange_one_message_per_update(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{TaggedUpdate, Update};
     use simnet::{Machine, MachineConfig};
 
     fn run_exchange(p: usize, opts: OptConfig) -> Vec<(Vec<Update>, ExchangeOutcome, u64, u64)> {
@@ -373,12 +221,20 @@ mod tests {
                 let me = ctx.rank() as u64;
                 // rank r sends to every rank d two updates for target d*10
                 // (one strictly better), so dedup has something to remove
-                let out: Vec<Vec<Update>> = (0..ctx.size() as u64)
-                    .map(|d| vec![(d * 10, 0.5 + me as f32, me), (d * 10, 0.4 + me as f32, me)])
-                    .collect();
-                let (incoming, outcome) = exchange_updates(ctx, out, &opts);
+                let mut bufs = ExchangeBufs::<Update>::new(ctx.size());
+                for d in 0..ctx.size() {
+                    let t = d as u64 * 10;
+                    bufs.bucket_mut(d)
+                        .extend([(t, 0.5 + me as f32, me), (t, 0.4 + me as f32, me)]);
+                }
+                let outcome = exchange_into(ctx, &mut bufs, &opts);
                 let stats = ctx.stats();
-                (incoming, outcome, stats.user_msgs, stats.total_bytes())
+                (
+                    bufs.incoming().to_vec(),
+                    outcome,
+                    stats.user_msgs,
+                    stats.total_bytes(),
+                )
             })
             .results
     }
@@ -446,10 +302,13 @@ mod tests {
         let run = |opts: OptConfig| -> u64 {
             Machine::new(MachineConfig::with_ranks(2))
                 .run(move |ctx| {
-                    let out: Vec<Vec<Update>> = (0..2)
-                        .map(|d| (0..500u64).map(|i| (d * 1000 + i, 0.25, 42)).collect())
-                        .collect();
-                    exchange_updates(ctx, out, &opts);
+                    let mut bufs = ExchangeBufs::<Update>::new(2);
+                    for d in 0..2 {
+                        let t0 = d as u64 * 1000;
+                        bufs.bucket_mut(d)
+                            .extend((0..500u64).map(|i| (t0 + i, 0.25, 42)));
+                    }
+                    exchange_into(ctx, &mut bufs, &opts);
                     ctx.stats().total_bytes()
                 })
                 .results
@@ -477,7 +336,7 @@ mod tests {
             Machine::new(MachineConfig::with_ranks(3))
                 .run(move |ctx| {
                     let me = ctx.rank() as u64;
-                    let mut bufs = TaggedExchangeBufs::new(ctx.size());
+                    let mut bufs = ExchangeBufs::<TaggedUpdate>::new(ctx.size());
                     for d in 0..ctx.size() {
                         // two lanes, duplicate targets per lane so dedup bites
                         bufs.bucket_mut(d).extend([
@@ -486,7 +345,7 @@ mod tests {
                             (1, d as u64 * 10, 0.3 + me as f32, me + 100),
                         ]);
                     }
-                    exchange_tagged_into(ctx, &mut bufs, &opts);
+                    exchange_into(ctx, &mut bufs, &opts);
                     bufs.incoming().to_vec()
                 })
                 .results
@@ -523,7 +382,7 @@ mod tests {
     fn tagged_dedup_keeps_min_per_lane_target() {
         let results = Machine::new(MachineConfig::with_ranks(2))
             .run(|ctx| {
-                let mut bufs = TaggedExchangeBufs::new(ctx.size());
+                let mut bufs = ExchangeBufs::<TaggedUpdate>::new(ctx.size());
                 for d in 0..ctx.size() {
                     bufs.bucket_mut(d).extend([
                         (0u32, 4u64, 0.9f32, 1u64),
@@ -531,7 +390,7 @@ mod tests {
                         (1, 4, 0.1, 3),
                     ]);
                 }
-                let outcome = exchange_tagged_into(ctx, &mut bufs, &OptConfig::all_on());
+                let outcome = exchange_into(ctx, &mut bufs, &OptConfig::all_on());
                 (outcome.records_offered, outcome.records_sent)
             })
             .results;

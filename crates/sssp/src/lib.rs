@@ -8,9 +8,9 @@
 //!
 //! * [`seq`] — textbook sequential delta-stepping (Meyer & Sanders) with
 //!   light/heavy edge phases; the readable reference.
-//! * [`par`] — shared-memory parallel delta-stepping (rayon + atomic
-//!   fetch-min on distance bits); what runs *inside* one rank of the real
-//!   machine's 390-core nodes.
+//! * [`par`] — shared-memory parallel delta-stepping (a parallel scan
+//!   against frozen distances, then an ordered commit); what runs *inside*
+//!   one rank of the real machine's 390-core nodes.
 //! * [`dist`] — the headline kernel: bulk-synchronous distributed
 //!   delta-stepping over `simnet` with the extreme-scale optimization stack,
 //!   each piece independently toggleable through [`OptConfig`] so the
@@ -26,6 +26,14 @@
 //!     density heuristic, using the frontier-broadcast pull schedule,
 //!   - **adaptive Δ** — bucket width chosen from the measured degree/weight
 //!     profile instead of a magic constant.
+//!
+//! Two more distributed kernels run the same bucket epochs: [`dist2d`],
+//! the 2D-partitioned rival, and [`multi`], the batched multi-source kernel
+//! under the query-serving layer [`serve`]. All three hand their bucket
+//! loop, crash recovery and bucket/superstep trace spans to one crate-
+//! private driver (`epoch.rs`), and ship their updates through one
+//! [`exchange`], generic over the untagged and lane-tagged record types of
+//! [`codec`].
 #![warn(missing_docs)]
 
 pub mod bfs;
@@ -35,6 +43,7 @@ pub mod config;
 pub mod delta;
 pub mod dist;
 pub mod dist2d;
+mod epoch;
 pub mod exchange;
 pub mod multi;
 pub mod par;
@@ -48,10 +57,9 @@ pub use delta::suggest_delta;
 pub use dist::{distributed_delta_stepping, try_distributed_delta_stepping, SsspRunStats};
 pub use dist2d::{Grid2DSssp, Sssp2DStats};
 pub use multi::{
-    batched_delta_stepping, multi_source_delta_stepping, try_batched_delta_stepping, BatchSpec,
-    MultiDist, MultiStats,
+    batched_delta_stepping, try_batched_delta_stepping, BatchSpec, MultiDist, MultiStats,
 };
-pub use par::{parallel_delta_stepping, parallel_delta_stepping_traced, WaveRecord};
+pub use par::parallel_delta_stepping;
 pub use seq::delta_stepping;
 pub use serve::{
     triangle_bound, LandmarkSet, Lru, Query, QueryEngine, QueryOutcome, ServeConfig, ServeStats,

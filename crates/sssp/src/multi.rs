@@ -45,12 +45,12 @@
 use crate::bucket::BucketQueue;
 use crate::codec::TaggedUpdate;
 use crate::config::OptConfig;
-use crate::dist::{get_weight_vec, put_weight_slice};
-use crate::exchange::{exchange_tagged_into, TaggedExchangeBufs};
+use crate::epoch::{self, load_paths, save_paths, EpochKernel};
+use crate::exchange::{exchange_into, ExchangeBufs};
 use g500_graph::{VertexId, Weight, INF_WEIGHT, NO_PARENT};
 use g500_partition::{DistShortestPaths, LocalGraph, VertexPartition};
 use rayon::prelude::*;
-use simnet::recovery::{codec, Checkpoint, FaultEscalation, Recovery};
+use simnet::recovery::{codec, Checkpoint, FaultEscalation};
 use simnet::{RankCtx, TraceCode};
 
 /// One lane of a batch: a source, an optional point-to-point target, and
@@ -164,77 +164,6 @@ const DEFAULT_DELTA: Weight = 0.125;
 /// order, so results are bitwise unaffected by which path runs.
 const SEQ_SCAN_CUTOFF: usize = 1024;
 
-/// Run `roots.len()` full SSSP searches concurrently. Collective.
-/// Compatibility wrapper over [`batched_delta_stepping`] with the full
-/// optimization stack and a fixed Δ.
-pub fn multi_source_delta_stepping<P: VertexPartition + Sync>(
-    ctx: &mut RankCtx,
-    graph: &LocalGraph<P>,
-    roots: &[VertexId],
-    delta: Weight,
-) -> (MultiDist, MultiStats) {
-    let specs: Vec<BatchSpec> = roots.iter().map(|&r| BatchSpec::full(r)).collect();
-    batched_delta_stepping(ctx, graph, &specs, &OptConfig::all_on().with_delta(delta))
-}
-
-/// The batch's complete mutable kernel state, snapshotted at bucket
-/// boundaries when a [`CrashPlan`](simnet::CrashPlan) is active. Scratch
-/// buffers (`bufs`, `frontier`, `settled`, `candidates`, `raw`) are
-/// excluded: each is fully overwritten before it is read in every
-/// superstep. `finished_at` carries virtual timestamps and is checkpointed
-/// so rollback restores the exact pre-crash record, but it legitimately
-/// differs from a fault-free run (recovery stretches virtual time).
-struct BatchState<'a> {
-    dist: &'a mut Vec<Weight>,
-    parent: &'a mut Vec<u64>,
-    finished_at: &'a mut Vec<f64>,
-    early_exit: &'a mut Vec<bool>,
-    target_dist: &'a mut Vec<Weight>,
-    target_parent: &'a mut Vec<u64>,
-    live: &'a mut Vec<bool>,
-    live_p2p: &'a mut usize,
-    buckets: &'a mut BucketQueue,
-    stats: &'a mut MultiStats,
-}
-
-impl Checkpoint for BatchState<'_> {
-    fn save(&self, out: &mut Vec<u8>) {
-        put_weight_slice(out, self.dist);
-        codec::put_u64_slice(out, self.parent);
-        codec::put_f64_slice(out, self.finished_at);
-        codec::put_bool_slice(out, self.early_exit);
-        put_weight_slice(out, self.target_dist);
-        codec::put_u64_slice(out, self.target_parent);
-        codec::put_bool_slice(out, self.live);
-        codec::put_u64(out, *self.live_p2p as u64);
-        self.buckets.save(out);
-        codec::put_u64(out, self.stats.supersteps);
-        codec::put_u64(out, self.stats.relaxations);
-        codec::put_u64(out, self.stats.updates_sent);
-        codec::put_u64(out, self.stats.pruned);
-        codec::put_u64(out, self.stats.retired);
-    }
-
-    fn load(&mut self, buf: &[u8]) {
-        let mut pos = 0usize;
-        *self.dist = get_weight_vec(buf, &mut pos);
-        *self.parent = codec::get_u64_vec(buf, &mut pos);
-        *self.finished_at = codec::get_f64_vec(buf, &mut pos);
-        *self.early_exit = codec::get_bool_vec(buf, &mut pos);
-        *self.target_dist = get_weight_vec(buf, &mut pos);
-        *self.target_parent = codec::get_u64_vec(buf, &mut pos);
-        *self.live = codec::get_bool_vec(buf, &mut pos);
-        *self.live_p2p = codec::get_u64(buf, &mut pos) as usize;
-        self.buckets.load(buf, &mut pos);
-        self.stats.supersteps = codec::get_u64(buf, &mut pos);
-        self.stats.relaxations = codec::get_u64(buf, &mut pos);
-        self.stats.updates_sent = codec::get_u64(buf, &mut pos);
-        self.stats.pruned = codec::get_u64(buf, &mut pos);
-        self.stats.retired = codec::get_u64(buf, &mut pos);
-        assert_eq!(pos, buf.len(), "trailing bytes in batch checkpoint");
-    }
-}
-
 /// Run one batch of lanes through shared delta-stepping supersteps.
 /// Collective: every rank must call with identical `specs` and `opts`.
 /// Honors `opts.coalescing`, `opts.dedup`, `opts.compression`, and
@@ -267,7 +196,6 @@ pub fn try_batched_delta_stepping<P: VertexPartition + Sync>(
     opts: &OptConfig,
 ) -> Result<(MultiDist, MultiStats), FaultEscalation> {
     let part = graph.part();
-    let p = ctx.size();
     let me = ctx.rank();
     let n_local = graph.local_vertices();
     let lanes = specs.len();
@@ -278,219 +206,66 @@ pub fn try_batched_delta_stepping<P: VertexPartition + Sync>(
     );
     let delta = opts.delta.unwrap_or(DEFAULT_DELTA);
 
-    let mut dist = vec![INF_WEIGHT; lanes * n_local];
-    let mut parent = vec![NO_PARENT; lanes * n_local];
-    let mut finished_at = vec![0.0f64; lanes];
-    let mut early_exit = vec![false; lanes];
-    let mut target_dist = vec![INF_WEIGHT; lanes];
-    let mut target_parent = vec![NO_PARENT; lanes];
-    let mut live = vec![true; lanes];
-    let bounds: Vec<Weight> = specs.iter().map(|s| s.bound).collect();
-    let mut stats = MultiStats::default();
-
-    // Point-to-point bookkeeping: the lanes whose target this rank owns
-    // (contributors to the per-epoch retirement allgather) and the global
-    // count of live p2p lanes (identical on every rank).
-    let my_targets: Vec<(u32, usize)> = specs
-        .iter()
-        .enumerate()
-        .filter_map(|(s, spec)| {
-            let t = spec.target?;
-            (part.owner(t) == me).then(|| (s as u32, part.to_local(t)))
-        })
-        .collect();
-    let mut live_p2p = specs.iter().filter(|s| s.target.is_some()).count();
-
-    let mut buckets = BucketQueue::new(delta);
+    let mut b = Batch {
+        graph,
+        specs,
+        opts: *opts,
+        n_local,
+        bounds: specs.iter().map(|s| s.bound).collect(),
+        // Point-to-point bookkeeping: the lanes whose target this rank owns
+        // (contributors to the per-epoch retirement allgather) and the
+        // global count of live p2p lanes (identical on every rank).
+        my_targets: specs
+            .iter()
+            .enumerate()
+            .filter_map(|(s, spec)| {
+                let t = spec.target?;
+                (part.owner(t) == me).then(|| (s as u32, part.to_local(t)))
+            })
+            .collect(),
+        dist: vec![INF_WEIGHT; lanes * n_local],
+        parent: vec![NO_PARENT; lanes * n_local],
+        finished_at: vec![0.0f64; lanes],
+        early_exit: vec![false; lanes],
+        target_dist: vec![INF_WEIGHT; lanes],
+        target_parent: vec![NO_PARENT; lanes],
+        live: vec![true; lanes],
+        live_p2p: specs.iter().filter(|s| s.target.is_some()).count(),
+        buckets: BucketQueue::new(delta),
+        stats: MultiStats::default(),
+        bufs: ExchangeBufs::new(ctx.size()),
+        frontier: Vec::new(),
+        settled: Vec::new(),
+        candidates: Vec::new(),
+        raw: Vec::new(),
+    };
     for (s, spec) in specs.iter().enumerate() {
         if part.owner(spec.source) == me {
-            let l = part.to_local(spec.source);
-            dist[s * n_local + l] = 0.0;
-            parent[s * n_local + l] = spec.source;
-            buckets.insert((s * n_local + l) as u32, 0.0);
+            let idx = s * n_local + part.to_local(spec.source);
+            b.dist[idx] = 0.0;
+            b.parent[idx] = spec.source;
+            b.buckets.insert(idx as u32, 0.0);
         }
     }
 
-    let mut bufs = TaggedExchangeBufs::new(p);
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut settled: Vec<u32> = Vec::new();
-    let mut candidates: Vec<TaggedUpdate> = Vec::new();
-    let mut raw: Vec<u32> = Vec::new();
-
-    // Borrow the full mutable batch state as one Checkpoint view; built
-    // fresh at each recovery hook so the borrows end before the kernel
-    // body touches the fields again.
-    macro_rules! batch_state {
-        () => {
-            BatchState {
-                dist: &mut dist,
-                parent: &mut parent,
-                finished_at: &mut finished_at,
-                early_exit: &mut early_exit,
-                target_dist: &mut target_dist,
-                target_parent: &mut target_parent,
-                live: &mut live,
-                live_p2p: &mut live_p2p,
-                buckets: &mut buckets,
-                stats: &mut stats,
-            }
-        };
-    }
-
-    // Epoch-0 checkpoint is taken after source insertion, so a restore can
-    // always rewind to a state that already holds the roots.
-    let mut rec = Recovery::begin(ctx, &batch_state!());
-
-    'outer: loop {
-        if let Some(r) = rec.as_mut() {
-            if r.bucket_boundary(ctx, &mut batch_state!())? {
-                continue 'outer;
-            }
-        }
-        let k_local = buckets.min_bucket().map_or(u64::MAX, |k| k as u64);
-        let k = ctx.allreduce_min(k_local);
-        if k == u64::MAX {
-            break;
-        }
-        let k = k as usize;
-
-        // Retirement epoch: target owners publish live tentatives; every
-        // rank applies the identical "settled below bucket k" rule, so the
-        // retirement set — and thus the whole batch schedule — is a pure
-        // function of the allreduced bucket index and the lane states.
-        if live_p2p > 0 {
-            let contrib: Vec<TaggedUpdate> = my_targets
-                .iter()
-                .filter(|&&(s, _)| live[s as usize])
-                .map(|&(s, l)| {
-                    let idx = s as usize * n_local + l;
-                    (s, specs[s as usize].target.unwrap(), dist[idx], parent[idx])
-                })
-                .collect();
-            for block in ctx.allgatherv(&contrib) {
-                for (s, _t, d, par) in block {
-                    let s = s as usize;
-                    if d.is_finite() && buckets.bucket_of(d) < k {
-                        live[s] = false;
-                        live_p2p -= 1;
-                        early_exit[s] = true;
-                        finished_at[s] = ctx.now();
-                        target_dist[s] = d;
-                        target_parent[s] = par;
-                        stats.retired += 1;
-                        ctx.trace_count(TraceCode::QueryRetired, s as u64, k as u64);
-                    }
-                }
-            }
-            if live.iter().all(|&l| !l) {
-                break; // every lane was p2p and has retired
-            }
-        }
-
-        settled.clear();
-        // light inner loop
-        loop {
-            if let Some(r) = rec.as_mut() {
-                if r.probe(ctx, &mut batch_state!())? {
-                    // restored mid-bucket: the epoch counter rewound, so
-                    // re-enter the outer loop from the boundary hook (this
-                    // kernel opens no Bucket span, so nothing to close)
-                    continue 'outer;
-                }
-            }
-            frontier.clear();
-            raw.clear();
-            buckets.drain_bucket_into(k, &mut raw);
-            frontier.extend(raw.iter().copied().filter(|&e| {
-                let d = dist[e as usize];
-                live[e as usize / n_local] && d.is_finite() && buckets.bucket_of(d) == k
-            }));
-            let total = ctx.allreduce_sum(frontier.len() as u64);
-            if total == 0 {
-                break;
-            }
-            settled.extend_from_slice(&frontier);
-
-            scan_wave(
-                graph,
-                &dist,
-                &bounds,
-                n_local,
-                &frontier,
-                |w| w < delta,
-                &mut candidates,
-                &mut stats,
-                ctx,
-            );
-            route_and_apply(
-                ctx,
-                graph,
-                &mut bufs,
-                &candidates,
-                opts,
-                &mut dist,
-                &mut parent,
-                &mut buckets,
-                &live,
-                n_local,
-                &mut stats,
-            );
-        }
-
-        // heavy phase for everything this bucket settled
-        scan_wave(
-            graph,
-            &dist,
-            &bounds,
-            n_local,
-            &settled,
-            |w| w >= delta,
-            &mut candidates,
-            &mut stats,
-            ctx,
-        );
-        route_and_apply(
-            ctx,
-            graph,
-            &mut bufs,
-            &candidates,
-            opts,
-            &mut dist,
-            &mut parent,
-            &mut buckets,
-            &live,
-            n_local,
-            &mut stats,
-        );
-    }
-    if let Some(r) = rec {
-        r.finish(ctx);
-    }
+    epoch::run(ctx, &mut b)?;
 
     // Lanes still live at batch end: full lanes, unreachable targets, and
     // targets that settled in the final bucket. Resolve remaining p2p
     // results with one last allgather so every rank returns identical
     // target values.
-    if live_p2p > 0 {
-        let contrib: Vec<TaggedUpdate> = my_targets
-            .iter()
-            .filter(|&&(s, _)| live[s as usize])
-            .map(|&(s, l)| {
-                let idx = s as usize * n_local + l;
-                (s, specs[s as usize].target.unwrap(), dist[idx], parent[idx])
-            })
-            .collect();
-        for block in ctx.allgatherv(&contrib) {
+    if b.live_p2p > 0 {
+        for block in ctx.allgatherv(&b.live_targets()) {
             for (s, _t, d, par) in block {
-                target_dist[s as usize] = d;
-                target_parent[s as usize] = par;
+                b.target_dist[s as usize] = d;
+                b.target_parent[s as usize] = par;
             }
         }
     }
     let t_end = ctx.allreduce(ctx.now(), |a, b| if a > b { *a } else { *b });
     for s in 0..lanes {
-        if live[s] {
-            finished_at[s] = t_end;
+        if b.live[s] {
+            b.finished_at[s] = t_end;
         }
     }
 
@@ -498,15 +273,221 @@ pub fn try_batched_delta_stepping<P: VertexPartition + Sync>(
         MultiDist {
             lanes,
             n_local,
-            dist,
-            parent,
-            finished_at,
-            early_exit,
-            target_dist,
-            target_parent,
+            dist: b.dist,
+            parent: b.parent,
+            finished_at: b.finished_at,
+            early_exit: b.early_exit,
+            target_dist: b.target_dist,
+            target_parent: b.target_parent,
         },
-        stats,
+        b.stats,
     ))
+}
+
+/// The batch kernel's per-run state.
+struct Batch<'a, P: VertexPartition> {
+    graph: &'a LocalGraph<P>,
+    specs: &'a [BatchSpec],
+    opts: OptConfig,
+    n_local: usize,
+    bounds: Vec<Weight>,
+    my_targets: Vec<(u32, usize)>,
+    dist: Vec<Weight>,
+    parent: Vec<u64>,
+    finished_at: Vec<f64>,
+    early_exit: Vec<bool>,
+    target_dist: Vec<Weight>,
+    target_parent: Vec<u64>,
+    live: Vec<bool>,
+    live_p2p: usize,
+    buckets: BucketQueue,
+    stats: MultiStats,
+    /// Round scratch, overwritten before it is read in every superstep.
+    bufs: ExchangeBufs<TaggedUpdate>,
+    frontier: Vec<u32>,
+    settled: Vec<u32>,
+    candidates: Vec<TaggedUpdate>,
+    raw: Vec<u32>,
+}
+
+/// The complete mutable batch state, snapshotted at bucket boundaries when
+/// a [`CrashPlan`](simnet::CrashPlan) is active; the round scratch is
+/// excluded. `finished_at` carries virtual timestamps and is checkpointed
+/// so rollback restores the exact pre-crash record, but it legitimately
+/// differs from a fault-free run (recovery stretches virtual time).
+impl<P: VertexPartition> Checkpoint for Batch<'_, P> {
+    fn save(&self, out: &mut Vec<u8>) {
+        save_paths(&self.dist, &self.parent, out);
+        codec::put_f64_slice(out, &self.finished_at);
+        codec::put_bool_slice(out, &self.early_exit);
+        save_paths(&self.target_dist, &self.target_parent, out);
+        codec::put_bool_slice(out, &self.live);
+        codec::put_u64(out, self.live_p2p as u64);
+        self.buckets.save(out);
+        let st = &self.stats;
+        for x in [
+            st.supersteps,
+            st.relaxations,
+            st.updates_sent,
+            st.pruned,
+            st.retired,
+        ] {
+            codec::put_u64(out, x);
+        }
+    }
+
+    fn load(&mut self, buf: &[u8]) {
+        let mut pos = 0usize;
+        let pos = &mut pos;
+        load_paths(&mut self.dist, &mut self.parent, buf, pos);
+        self.finished_at = codec::get_f64_vec(buf, pos);
+        self.early_exit = codec::get_bool_vec(buf, pos);
+        load_paths(&mut self.target_dist, &mut self.target_parent, buf, pos);
+        self.live = codec::get_bool_vec(buf, pos);
+        self.live_p2p = codec::get_u64(buf, pos) as usize;
+        self.buckets.load(buf, pos);
+        let st = &mut self.stats;
+        for x in [
+            &mut st.supersteps,
+            &mut st.relaxations,
+            &mut st.updates_sent,
+            &mut st.pruned,
+            &mut st.retired,
+        ] {
+            *x = codec::get_u64(buf, pos);
+        }
+        assert_eq!(*pos, buf.len(), "trailing bytes in batch checkpoint");
+    }
+}
+
+impl<P: VertexPartition + Sync> EpochKernel for Batch<'_, P> {
+    /// The bucket vote, then the retirement of settled p2p targets.
+    fn next_bucket(&mut self, ctx: &mut RankCtx) -> Option<u64> {
+        let k_local = self.buckets.min_bucket().map_or(u64::MAX, |k| k as u64);
+        let k = ctx.allreduce_min(k_local);
+        if k == u64::MAX {
+            return None;
+        }
+        // Retirement epoch: target owners publish live tentatives; every
+        // rank applies the identical "settled below bucket k" rule, so the
+        // retirement set — and thus the whole batch schedule — is a pure
+        // function of the allreduced bucket index and the lane states.
+        if self.live_p2p > 0 {
+            for block in ctx.allgatherv(&self.live_targets()) {
+                for (s, _t, d, par) in block {
+                    let s = s as usize;
+                    if d.is_finite() && self.buckets.bucket_of(d) < k as usize {
+                        self.live[s] = false;
+                        self.live_p2p -= 1;
+                        self.early_exit[s] = true;
+                        self.finished_at[s] = ctx.now();
+                        self.target_dist[s] = d;
+                        self.target_parent[s] = par;
+                        self.stats.retired += 1;
+                        ctx.trace_count(TraceCode::QueryRetired, s as u64, k);
+                    }
+                }
+            }
+            if self.live.iter().all(|&l| !l) {
+                return None; // every lane was p2p and has retired
+            }
+        }
+        self.settled.clear();
+        Some(k)
+    }
+
+    fn frontier(&mut self, ctx: &mut RankCtx, k: u64) -> u64 {
+        let k = k as usize;
+        self.raw.clear();
+        self.buckets.drain_bucket_into(k, &mut self.raw);
+        let (dist, live, n_local) = (&self.dist, &self.live, self.n_local);
+        let buckets = &self.buckets;
+        self.frontier.clear();
+        self.frontier.extend(self.raw.iter().copied().filter(|&e| {
+            let d = dist[e as usize];
+            live[e as usize / n_local] && d.is_finite() && buckets.bucket_of(d) == k
+        }));
+        ctx.allreduce_sum(self.frontier.len() as u64)
+    }
+
+    fn light(&mut self, ctx: &mut RankCtx, _k: u64) {
+        self.settled.extend_from_slice(&self.frontier);
+        let delta = self.buckets.delta();
+        epoch::superstep(ctx, self, 0, |b, ctx| {
+            b.relax_round(ctx, false, |w| w < delta)
+        });
+    }
+
+    fn heavy(&mut self, ctx: &mut RankCtx, _k: u64) {
+        let delta = self.buckets.delta();
+        epoch::superstep(ctx, self, 1, |b, ctx| {
+            b.relax_round(ctx, true, |w| w >= delta)
+        });
+    }
+
+    fn progress(&self) -> (u64, u64) {
+        (self.stats.supersteps, self.stats.relaxations)
+    }
+}
+
+impl<P: VertexPartition + Sync> Batch<'_, P> {
+    /// This rank's live p2p targets as `(lane, target, dist, parent)`.
+    fn live_targets(&self) -> Vec<TaggedUpdate> {
+        self.my_targets
+            .iter()
+            .filter(|&&(s, _)| self.live[s as usize])
+            .map(|&(s, l)| {
+                let idx = s as usize * self.n_local + l;
+                let t = self.specs[s as usize].target.unwrap();
+                (s, t, self.dist[idx], self.parent[idx])
+            })
+            .collect()
+    }
+
+    /// One superstep: scan the `keep` arcs of the frontier (or, for the
+    /// heavy round, of the bucket's settled set) against the frozen state,
+    /// route the candidates to their owners, exchange them under `opts`,
+    /// and apply the incoming stream in order (strict-`<` improvements;
+    /// retired lanes are frozen).
+    fn relax_round(
+        &mut self,
+        ctx: &mut RankCtx,
+        heavy: bool,
+        keep: impl Fn(Weight) -> bool + Sync,
+    ) {
+        let sources = if heavy { &self.settled } else { &self.frontier };
+        scan_wave(
+            self.graph,
+            &self.dist,
+            &self.bounds,
+            self.n_local,
+            sources,
+            keep,
+            &mut self.candidates,
+            &mut self.stats,
+            ctx,
+        );
+        let part = self.graph.part();
+        for &c in &self.candidates {
+            self.bufs.bucket_mut(part.owner(c.1)).push(c);
+        }
+        let outcome = exchange_into(ctx, &mut self.bufs, &self.opts);
+        self.stats.supersteps += 1;
+        self.stats.updates_sent += outcome.records_sent;
+        ctx.charge_compute(outcome.records_received);
+        for &(s, v, nd, par) in self.bufs.incoming() {
+            let s = s as usize;
+            if !self.live[s] {
+                continue;
+            }
+            let idx = s * self.n_local + part.to_local(v);
+            if nd < self.dist[idx] {
+                self.dist[idx] = nd;
+                self.parent[idx] = par;
+                self.buckets.insert(idx as u32, nd);
+            }
+        }
+    }
 }
 
 /// Scan the out-arcs of one packed frontier element against the frozen
@@ -629,45 +610,6 @@ fn scan_wave<P: VertexPartition + Sync>(
     ctx.charge_compute(scanned);
 }
 
-/// Phase 2: route candidates into per-destination buckets, exchange them
-/// under `opts`, and apply the incoming stream in order (strict-`<`
-/// improvements; retired lanes are frozen).
-#[allow(clippy::too_many_arguments)]
-fn route_and_apply<P: VertexPartition>(
-    ctx: &mut RankCtx,
-    graph: &LocalGraph<P>,
-    bufs: &mut TaggedExchangeBufs,
-    candidates: &[TaggedUpdate],
-    opts: &OptConfig,
-    dist: &mut [Weight],
-    parent: &mut [u64],
-    buckets: &mut BucketQueue,
-    live: &[bool],
-    n_local: usize,
-    stats: &mut MultiStats,
-) {
-    let part = graph.part();
-    for &c in candidates {
-        bufs.bucket_mut(part.owner(c.1)).push(c);
-    }
-    let outcome = exchange_tagged_into(ctx, bufs, opts);
-    stats.supersteps += 1;
-    stats.updates_sent += outcome.records_sent;
-    ctx.charge_compute(outcome.records_received);
-    for &(s, v, nd, par) in bufs.incoming() {
-        let s = s as usize;
-        if !live[s] {
-            continue;
-        }
-        let idx = s * n_local + part.to_local(v);
-        if nd < dist[idx] {
-            dist[idx] = nd;
-            parent[idx] = par;
-            buckets.insert(idx as u32, nd);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,7 +630,9 @@ mod tests {
             let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
-            let (md, _) = multi_source_delta_stepping(ctx, &g, &roots, 0.2);
+            let specs: Vec<_> = roots.iter().map(|&r| BatchSpec::full(r)).collect();
+            let (md, _) =
+                batched_delta_stepping(ctx, &g, &specs, &OptConfig::all_on().with_delta(0.2));
             (0..roots.len())
                 .map(|s| md.lane_paths(s).gather_to_all(ctx, g.part()))
                 .collect::<Vec<_>>()
@@ -717,11 +661,13 @@ mod tests {
             let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
 
-            let (_, batched) = multi_source_delta_stepping(ctx, &g, &roots, 0.125);
+            let opts = OptConfig::all_on().with_delta(0.125);
+            let specs: Vec<_> = roots.iter().map(|&r| BatchSpec::full(r)).collect();
+            let (_, batched) = batched_delta_stepping(ctx, &g, &specs, &opts);
 
             let mut sequential_steps = 0u64;
             for &r in &roots {
-                let (_, s) = multi_source_delta_stepping(ctx, &g, &[r], 0.125);
+                let (_, s) = batched_delta_stepping(ctx, &g, &[BatchSpec::full(r)], &opts);
                 sequential_steps += s.supersteps;
             }
             (batched.supersteps, sequential_steps)
@@ -746,7 +692,12 @@ mod tests {
                 Vec::new()
             };
             let g = assemble_local_graph(ctx, mine.into_iter(), part);
-            let (md, _) = multi_source_delta_stepping(ctx, &g, &[0], 0.5);
+            let (md, _) = batched_delta_stepping(
+                ctx,
+                &g,
+                &[BatchSpec::full(0)],
+                &OptConfig::all_on().with_delta(0.5),
+            );
             md.lane_paths(0).gather_to_all(ctx, g.part())
         });
         assert!(rep.results[0].distances_match(&oracle, 1e-5));

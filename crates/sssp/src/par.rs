@@ -22,49 +22,8 @@ use crate::bucket::BucketQueue;
 use g500_graph::{Csr, ShortestPaths, VertexId, Weight};
 use rayon::prelude::*;
 
-/// One committed wave of the shared-memory kernel, for tracing: which
-/// bucket it served, its ordinal within the run, the frontier it scanned,
-/// how many improving candidates the scan produced, and whether it was the
-/// bucket's heavy pass.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WaveRecord {
-    /// Bucket index the wave served.
-    pub bucket: usize,
-    /// Ordinal of the wave within the whole run (0-based).
-    pub wave: u64,
-    /// Sources scanned this wave.
-    pub frontier: u64,
-    /// Improving candidates the scan emitted (pre-commit re-check).
-    pub candidates: u64,
-    /// True for the once-per-bucket heavy pass.
-    pub heavy: bool,
-}
-
 /// Shared-memory parallel delta-stepping from `root` with width `delta`.
 pub fn parallel_delta_stepping(graph: &Csr, root: VertexId, delta: Weight) -> ShortestPaths {
-    run_delta_stepping(graph, root, delta, None)
-}
-
-/// As [`parallel_delta_stepping`], additionally recording one
-/// [`WaveRecord`] per scan/commit wave. Recording reads only values the
-/// untraced run computes anyway, so the returned paths are bitwise
-/// identical to the untraced variant.
-pub fn parallel_delta_stepping_traced(
-    graph: &Csr,
-    root: VertexId,
-    delta: Weight,
-) -> (ShortestPaths, Vec<WaveRecord>) {
-    let mut waves = Vec::new();
-    let sp = run_delta_stepping(graph, root, delta, Some(&mut waves));
-    (sp, waves)
-}
-
-fn run_delta_stepping(
-    graph: &Csr,
-    root: VertexId,
-    delta: Weight,
-    mut waves: Option<&mut Vec<WaveRecord>>,
-) -> ShortestPaths {
     let n = graph.num_vertices();
     let mut dist: Vec<f32> = vec![f32::INFINITY; n];
     let mut parent: Vec<u64> = vec![u64::MAX; n];
@@ -74,7 +33,6 @@ fn run_delta_stepping(
     let mut buckets = BucketQueue::new(delta);
     buckets.insert(root as u32, 0.0);
     let mut settled: Vec<u32> = Vec::new();
-    let mut wave_no = 0u64;
     // Wave-scratch arenas, reused across every wave of the run: the
     // frontier list and the candidate buffer would otherwise be
     // reallocated (and re-grown) once per wave.
@@ -96,30 +54,10 @@ fn run_delta_stepping(
             // Parallel light-edge scan over the frozen distances, then an
             // ordered sequential commit.
             scan_wave(graph, &dist, &frontier, |w| w < delta, &mut candidates);
-            if let Some(w) = waves.as_deref_mut() {
-                w.push(WaveRecord {
-                    bucket: k,
-                    wave: wave_no,
-                    frontier: frontier.len() as u64,
-                    candidates: candidates.len() as u64,
-                    heavy: false,
-                });
-            }
-            wave_no += 1;
             commit_wave(&mut dist, &mut parent, &mut buckets, &candidates);
         }
         // Heavy phase over the settled set, once per bucket.
         scan_wave(graph, &dist, &settled, |w| w >= delta, &mut candidates);
-        if let Some(w) = waves.as_deref_mut() {
-            w.push(WaveRecord {
-                bucket: k,
-                wave: wave_no,
-                frontier: settled.len() as u64,
-                candidates: candidates.len() as u64,
-                heavy: true,
-            });
-        }
-        wave_no += 1;
         commit_wave(&mut dist, &mut parent, &mut buckets, &candidates);
     }
 
@@ -274,27 +212,5 @@ mod tests {
             )
         };
         assert_eq!(bits(&a), bits(&b));
-    }
-
-    #[test]
-    fn traced_variant_matches_untraced_and_is_deterministic() {
-        let gen = g500_gen::KroneckerGenerator::new(g500_gen::KroneckerParams::graph500(9, 5));
-        let el = gen.generate_all();
-        let g = Csr::from_edges(512, &el, Directedness::Undirected);
-        let plain = parallel_delta_stepping(&g, 2, 0.125);
-        let (traced, waves_a) = parallel_delta_stepping_traced(&g, 2, 0.125);
-        let (_, waves_b) = parallel_delta_stepping_traced(&g, 2, 0.125);
-        assert_eq!(
-            plain.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-            traced.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-        );
-        assert_eq!(plain.parent, traced.parent);
-        assert_eq!(waves_a, waves_b);
-        assert!(!waves_a.is_empty());
-        // waves are numbered consecutively, one heavy pass per bucket
-        for (i, w) in waves_a.iter().enumerate() {
-            assert_eq!(w.wave, i as u64);
-        }
-        assert!(waves_a.iter().any(|w| w.heavy));
     }
 }

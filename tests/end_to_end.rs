@@ -249,13 +249,15 @@ fn many_ranks_few_vertices() {
 
 #[test]
 fn unusable_cli_values_are_one_line_errors_not_panics() {
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 8] = [
         &["sssp", "--scale", "8", "--ranks", "2", "--delta", "0"],
         &["sssp", "--scale", "8", "--ranks", "2", "--delta", "-0.5"],
         &["sssp", "--scale", "8", "--ranks", "0"],
         &["sssp", "--scale", "0", "--ranks", "2"],
         &["serve", "--scale", "8", "--ranks", "0"],
         &["stats", "--scale", "0"],
+        &["sssp", "--scale", "8", "--ranks", "2", "--roots", "0"],
+        &["bfs", "--scale", "8", "--ranks", "2", "--roots", "0"],
     ];
     for args in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_g500"))

@@ -19,7 +19,10 @@ use graph500::partition::{
 };
 use graph500::simnet::{wire, Machine, MachineConfig};
 use graph500::sssp::codec::{decode_updates, dedup_min, encode_updates, Update};
-use graph500::sssp::{delta_stepping, distributed_delta_stepping, BucketQueue, OptConfig};
+use graph500::sssp::{
+    batched_delta_stepping, delta_stepping, distributed_delta_stepping, BatchSpec, BucketQueue,
+    OptConfig,
+};
 
 fn to_el(edges: &[(u64, u64, f32)]) -> EdgeList {
     EdgeList::from_edges(edges.iter().map(|&(u, v, w)| WEdge::new(u, v, w)))
@@ -77,17 +80,6 @@ fn varint_roundtrip() {
         let mut pos = 0;
         assert_eq!(compress::read_varint(&buf, &mut pos), Some(v));
         assert_eq!(pos, buf.len());
-    });
-}
-
-#[test]
-fn adjacency_codec_roundtrip() {
-    for_cases(0xAD3A, 64, |rng| {
-        let m = rng.usize(0, 200);
-        let mut ids: Vec<u64> = (0..m).map(|_| rng.next_u64()).collect();
-        ids.sort_unstable();
-        let enc = compress::encode_adjacency(&ids);
-        assert_eq!(compress::decode_adjacency(&enc), Some(ids));
     });
 }
 
@@ -371,7 +363,9 @@ fn multi_source_equals_dijkstra_per_source() {
                 let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
                 let mine: Vec<_> = (lo..hi).map(|i| el.get(i)).collect();
                 let g = assemble_local_graph(ctx, mine.into_iter(), part);
-                let (md, _) = graph500::sssp::multi_source_delta_stepping(ctx, &g, &roots, 0.25);
+                let specs: Vec<BatchSpec> = roots.iter().map(|&r| BatchSpec::full(r)).collect();
+                let opts = OptConfig::all_on().with_delta(0.25);
+                let (md, _) = batched_delta_stepping(ctx, &g, &specs, &opts);
                 (0..roots.len())
                     .map(|s| md.lane_paths(s).gather_to_all(ctx, g.part()))
                     .collect::<Vec<_>>()

@@ -258,3 +258,138 @@ fn crashed_run_traces_recovery_spans() {
         );
     }
 }
+
+/// Per-rank span tallies of one merged trace: `Superstep` spans, `Bucket`
+/// spans, heavy (`b` = 1) supersteps, and how many `Restore` spans began
+/// inside an open bucket. Panics unless every span end closes an open span
+/// of its code and nothing stays open at the end. (Codes are balanced
+/// separately: a `Replay` span legitimately straddles bucket boundaries.)
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct EpochTally {
+    supersteps: u64,
+    buckets: u64,
+    heavy: u64,
+    restores_in_bucket: u64,
+}
+
+fn epoch_tallies(trace: &Trace) -> Vec<EpochTally> {
+    use graph500::simnet::{TraceCode, TraceKind};
+    use std::collections::BTreeMap;
+    let ranks = trace.ranks as usize;
+    let mut open: Vec<BTreeMap<TraceCode, u64>> = vec![BTreeMap::new(); ranks];
+    let mut out = vec![EpochTally::default(); ranks];
+    for (r, ev) in &trace.events {
+        let (open, tally) = (&mut open[*r as usize], &mut out[*r as usize]);
+        let depth = open.entry(ev.code).or_insert(0);
+        match ev.kind {
+            TraceKind::Begin => {
+                *depth += 1;
+                let in_bucket = open.get(&TraceCode::Bucket).is_some_and(|&d| d > 0);
+                if ev.code == TraceCode::Restore && in_bucket {
+                    tally.restores_in_bucket += 1;
+                }
+            }
+            TraceKind::End => {
+                assert!(*depth > 0, "rank {r}: {:?} ends unopened", ev.code);
+                *depth -= 1;
+                match ev.code {
+                    TraceCode::Superstep => {
+                        tally.supersteps += 1;
+                        tally.heavy += (ev.b == 1) as u64;
+                    }
+                    TraceCode::Bucket => tally.buckets += 1,
+                    _ => {}
+                }
+            }
+            TraceKind::Count => {}
+        }
+    }
+    for (r, open) in open.iter().enumerate() {
+        assert!(
+            open.values().all(|&d| d == 0),
+            "rank {r}: open spans {open:?}"
+        );
+    }
+    out
+}
+
+/// Run the batched kernel traced on the scale-10 graph over 4 ranks.
+fn run_traced_batched(crash: Option<graph500::CrashPlan>) -> (Trace, u64) {
+    use graph500::partition::{assemble_local_graph, Block1D};
+    use graph500::sssp::{batched_delta_stepping, BatchSpec, OptConfig};
+    let gen = graph500::gen::KroneckerGenerator::new(graph500::gen::KroneckerParams::graph500(
+        10, 20220814,
+    ));
+    let el = gen.generate_all();
+    let p = 4usize;
+    let mut cfg = MachineConfig::with_ranks(p).deterministic(0).traced(true);
+    if let Some(plan) = crash {
+        cfg = cfg.crashes(plan);
+    }
+    let specs = [
+        BatchSpec::full(1),
+        BatchSpec::p2p(5, 700),
+        BatchSpec::full(300),
+    ];
+    let report = Machine::new(cfg).run(|ctx| {
+        let m = el.len();
+        let (lo, hi) = (ctx.rank() * m / p, (ctx.rank() + 1) * m / p);
+        let mine = (lo..hi).map(|i| el.get(i));
+        let g = assemble_local_graph(ctx, mine, Block1D::new(1 << 10, p));
+        let opts = OptConfig::all_on().with_delta(0.25);
+        batched_delta_stepping(ctx, &g, &specs, &opts).1.supersteps
+    });
+    (Trace::merge(report.traces), report.results[0])
+}
+
+/// The bucket-epoch driver owns the `Bucket` and `Superstep` spans of all
+/// three delta-stepping kernels: on every rank there is one `Superstep`
+/// span per superstep the kernel reports and one `Bucket` span per bucket
+/// epoch (each epoch ends in exactly one heavy round), and a restore in
+/// the middle of a bucket leaves every span balanced.
+#[test]
+fn epoch_driver_spans_match_kernel_counters() {
+    // 1D: the driver report carries the per-root supersteps and buckets.
+    let rep = run_sssp_benchmark(&traced_1d_cfg());
+    let supersteps: u64 = rep.runs.iter().map(|r| r.stats.supersteps).sum();
+    let buckets: u64 = rep.runs.iter().map(|r| r.stats.buckets).sum();
+    for t in epoch_tallies(rep.trace.as_ref().expect("traced")) {
+        assert_eq!((t.supersteps, t.buckets), (supersteps, buckets), "1D");
+    }
+
+    // 2D: every epoch closes with one heavy round.
+    let gen = graph500::gen::KroneckerGenerator::new(graph500::gen::KroneckerParams::graph500(
+        10, 20220814,
+    ));
+    let el = gen.generate_all();
+    let report =
+        Machine::new(MachineConfig::with_ranks(4).deterministic(0).traced(true)).run(|ctx| {
+            let m = el.len();
+            let (lo, hi) = (ctx.rank() * m / 4, (ctx.rank() + 1) * m / 4);
+            let mut g = Grid2DSssp::build(ctx, 1 << 10, (lo..hi).map(|i| el.get(i)), 0.25);
+            g.run(ctx, 1).supersteps
+        });
+    let supersteps = report.results[0];
+    for t in epoch_tallies(&Trace::merge(report.traces)) {
+        assert_eq!(t.supersteps, supersteps, "2D");
+        assert!(t.buckets > 0 && t.buckets == t.heavy, "2D: {t:?}");
+    }
+
+    // Batched: the same, and it now emits the spans at all.
+    let (trace, supersteps) = run_traced_batched(None);
+    for t in epoch_tallies(&trace) {
+        assert_eq!(t.supersteps, supersteps, "batched");
+        assert!(t.buckets > 0 && t.buckets == t.heavy, "batched: {t:?}");
+    }
+
+    // Batched under a crash forced at rank 1's third probe: the first two
+    // probes are the bucket-0 boundary and its first light round, so the
+    // restore happens inside bucket 0 after one light round.
+    let plan = graph500::CrashPlan::none()
+        .with_forced(1, 2)
+        .with_checkpoint_interval(2);
+    let (trace, _) = run_traced_batched(Some(plan));
+    for t in epoch_tallies(&trace) {
+        assert!(t.restores_in_bucket > 0, "no mid-bucket restore: {t:?}");
+    }
+}
